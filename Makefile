@@ -21,7 +21,7 @@ CORPUS_DIR ?= .repro-corpus
 
 .PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
-        trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
+        trace-demo trace-demo-mc corpus-demo loadgen-smoke \
         telemetry-smoke serve-smoke
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
@@ -174,31 +174,6 @@ loadgen-smoke:
 		"$(LOADGEN_DIR)/uniform-churn-2.trace"; \
 	$(PY) -m repro.traces info "$(LOADGEN_DIR)/uniform-churn.trace"; \
 	$(PY) -m repro.traces replay "$(LOADGEN_DIR)/uniform-churn.trace"
-
-## CI gate for the columnar replay engine: record a compressed trace,
-## replay it with both engines (timing + hierarchy + shared-L3 modes)
-## and require byte-identical statistics output.  The printed replay
-## summaries carry no timing, so `cmp` is the whole oracle.
-kernel-smoke:
-	@$(DEMO_DIR_SETUP); \
-	$(PY) -m repro.traces record --scenario server-churn \
-		--instructions 8000 --compress \
-		--out "$$dir/server-churn.trace"; \
-	for mode in timing hierarchy; do \
-		$(PY) -m repro.traces replay "$$dir/server-churn.trace" \
-			--mode $$mode --engine columnar \
-			> "$$dir/$$mode-columnar.txt"; \
-		$(PY) -m repro.traces replay "$$dir/server-churn.trace" \
-			--mode $$mode --engine records \
-			> "$$dir/$$mode-records.txt"; \
-		cmp "$$dir/$$mode-columnar.txt" "$$dir/$$mode-records.txt"; \
-	done; \
-	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
-		--cores 2 --engine columnar > "$$dir/mc-columnar.txt"; \
-	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
-		--cores 2 --engine records > "$$dir/mc-records.txt"; \
-	cmp "$$dir/mc-columnar.txt" "$$dir/mc-records.txt"; \
-	echo "kernel-smoke: columnar and per-record engines agree"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

@@ -160,7 +160,10 @@ def _attempt_round(
     results: dict[str, tuple[SectionResult, float]] = {}
     errors: dict[str, BaseException] = {}
     if ctx.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=ctx.jobs) as pool:
+        # The fork start method spawns every worker up front: a retry
+        # round with few pending sections must not fork idle workers.
+        workers = min(ctx.jobs, len(pending))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 experiment.name: pool.submit(
                     _run_by_name, (experiment.name, ctx)

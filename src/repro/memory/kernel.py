@@ -1,17 +1,18 @@
 """Batched tag-hierarchy kernel: column arrays in, exact LRU stats out.
 
-The per-record replay path walks one ``(kind, address, arg)`` tuple at a
-time through :class:`~repro.memory.cache.TagOnlyCache` ladders — correct,
-but the Python interpreter pays per record.  This module is the
-column-at-a-time equivalent: the trace layer decodes whole epochs into
-parallel numpy arrays (:class:`repro.traces.format.RecordColumns`) and
-the kernel resolves set indices, tag matches, LRU victim selection and
-miss accounting over those arrays in vectorized batches.
+Every timing and shared-L3 replay runs here.  The trace layer decodes
+whole epochs into parallel numpy arrays
+(:class:`repro.traces.format.RecordColumns`) and the kernel resolves
+set indices, tag matches, LRU victim selection and miss accounting over
+those arrays in vectorized batches, instead of walking one access at a
+time through :class:`~repro.memory.cache.TagOnlyCache` ladders.
 
 Exactness is the design constraint, not an aspiration: every statistic a
-kernel produces is **bit-identical** to the per-record ladder's, because
-the per-record path stays in the tree as the differential-test oracle
-(``tests/traces/test_columnar_equivalence.py``) and because
+kernel produces is **bit-identical** to a per-access ``TagOnlyCache``
+ladder's.  The per-access classes are the reference semantics the
+kernel is tested against (``tests/memory/test_kernel.py``, and the
+per-record oracle ``tests/traces/oracle.py`` that the registry-wide
+differential suite replays against), and
 ``replay_timing`` verifies replayed counts against recorded footers.
 The vectorization therefore only removes work that provably cannot
 change LRU state:
@@ -33,24 +34,14 @@ change LRU state:
   is strictly increasing along every set's stream and the victim is the
   minimum-stamp way.  Skewed tails (a few hot sets with long streams
   left) finish in a tight per-set Python loop over the same state.
-
-numpy is a declared dependency (``pyproject.toml``), but every consumer
-gates on :func:`require_numpy` so a numpy-less interpreter still has the
-pure-Python per-record engine (``engine="records"``).
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+import numpy as np
 
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
-
-#: True when numpy imported and the columnar engine is available.
-HAVE_NUMPY = _np is not None
 
 #: The trace event kinds, as the kernel's own vocabulary.  These mirror
 #: the ``EV_*`` constants of :mod:`repro.workloads.generator` (re-exported
@@ -72,23 +63,6 @@ KIND_EPOCH = 6
 CFORM_LINE_STRIDE = 64
 
 
-def require_numpy(feature: str = "the columnar replay engine"):
-    """Return numpy, or raise a directed ImportError.
-
-    Every columnar entry point funnels through here so a numpy-less
-    environment gets one clear message instead of an AttributeError deep
-    inside a kernel.
-    """
-    if _np is None:
-        raise ImportError(
-            f"numpy is required for {feature} (declared in pyproject.toml; "
-            "`pip install numpy`). Without it, use the pure-Python "
-            "per-record path: engine='records' in the replay APIs, or "
-            "--engine records on the python -m repro.traces CLI."
-        )
-    return _np
-
-
 #: Below this many concurrently active sets, a vectorized round costs
 #: more in numpy dispatch than the per-set Python tail loop it replaces.
 _ROUND_MIN_SETS = 12
@@ -97,7 +71,7 @@ _ROUND_MIN_SETS = 12
 #: floor-divide (line size ≥ 2) to the int64 minimum, so a plain
 #: equality match can never hit an empty way and liveness checks drop
 #: out of the hot matching loops entirely.
-_EMPTY_LINE = -(2**63) if _np is None else int(_np.iinfo(_np.int64).min)
+_EMPTY_LINE = int(np.iinfo(np.int64).min)
 
 
 class LruTagKernel:
@@ -123,7 +97,6 @@ class LruTagKernel:
     )
 
     def __init__(self, geometry: CacheGeometry):
-        np = require_numpy("the batched LRU tag kernel")
         self.geometry = geometry
         self._line_size = geometry.line_size
         self._num_sets = geometry.num_sets
@@ -177,7 +150,6 @@ class LruTagKernel:
         Skewed leftovers (a few sets with many more segments than the
         rest) finish in a per-set Python loop over the same state.
         """
-        np = _np
         n = len(addresses)
         self.accesses += n
         miss_mask = np.zeros(n, dtype=bool)
@@ -395,7 +367,6 @@ class LadderKernel:
         3-level ladder's caller to ignore, the shared-L3 request stream
         for a 2-level one.
         """
-        np = _np
         indices = np.flatnonzero(self.l1.access_block(addresses))
         for level in (self.l2, self.l3):
             if level is None:
@@ -452,7 +423,6 @@ def expand_touches(kinds, addresses, args):
     carries any per-record annotation (e.g. a multi-core slot) onto the
     touch column.
     """
-    np = _np
     counts = np.zeros(len(kinds), dtype=np.int64)
     counts[(kinds == KIND_LOAD) | (kinds == KIND_STORE)] = 1
     cform = kinds == KIND_CFORM

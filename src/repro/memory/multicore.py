@@ -20,14 +20,20 @@ depends only on its own stream, so the private ladders can be simulated
 independently (in parallel, by the trace replayer), while the shared L3
 consumes the deterministically interleaved miss streams serially —
 the design that keeps multi-core replay statistics identical at any
-worker count.
+worker count.  The trace replayer runs both phases on the batched
+kernels (:class:`~repro.memory.kernel.LadderKernel`,
+:class:`SharedL3Kernel`); the per-access classes here are the reference
+semantics those kernels are tested against.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig, amat_cycles
+from repro.memory.kernel import LruTagKernel
 
 
 class PrivateLadder:
@@ -108,9 +114,6 @@ class SharedL3Kernel:
     __slots__ = ("cache", "accesses", "misses")
 
     def __init__(self, config: HierarchyConfig, cores: int):
-        from repro.memory.kernel import LruTagKernel, require_numpy
-
-        require_numpy("the columnar multi-core replay engine")
         if cores <= 0:
             raise ValueError("cores must be positive")
         self.cache = LruTagKernel(config.l3_geometry)
@@ -124,9 +127,6 @@ class SharedL3Kernel:
         ``address_column`` its (stride-disambiguated) address; both are
         equal-length int64 arrays in merged stream order.
         """
-        from repro.memory.kernel import require_numpy
-
-        np = require_numpy("the columnar multi-core replay engine")
         miss_mask = self.cache.access_block(address_column)
         cores = len(self.accesses)
         presented = np.bincount(core_column, minlength=cores)
@@ -145,9 +145,8 @@ class MultiCoreHierarchy:
     """``cores`` private L1/L2 ladders in front of one shared L3.
 
     The live (per-access) interface for direct use and tests; the trace
-    replayer drives the same :class:`PrivateLadder`/:class:`SharedL3`
-    pieces through its two-phase pipeline instead, so both paths share
-    one implementation of the tag mechanics and the cycle model.
+    replayer runs the same two-level split on the batched kernels and
+    is tested against this class.
     """
 
     def __init__(self, config: HierarchyConfig | None = None, cores: int = 2):

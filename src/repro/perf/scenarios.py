@@ -27,13 +27,6 @@ Scenario families:
     compressed frames (delta/run-length tokenisation + zlib), and the
     streaming replay that inflates and de-tokenises frame by frame —
     the corpus store's write and read sides.
-``trace_columnar_*`` / ``trace_records_*``
-    The replay-engine pair: the same workloads with the engine pinned to
-    ``columnar`` (array-native decode + batched tag kernel) or to the
-    retained per-record oracle, so every report carries its own
-    columnar-vs-records speedup.  The unpinned ``trace_*_replay``
-    scenarios above default to the columnar engine when numpy is
-    available.
 ``loadgen_generate``
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
@@ -324,67 +317,6 @@ def _trace_decompress_replay(quick: bool) -> Workload:
     return replay_once, records
 
 
-def _engine_replay(quick: bool, engine: str) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.format import TraceReader
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_timing
-
-    spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
-    buffer = BytesIO()
-    record_spec(spec, buffer, compress=True)
-    raw = buffer.getvalue()
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
-
-    def replay_once() -> None:
-        replay_timing(BytesIO(raw), engine=engine)
-
-    return replay_once, records
-
-
-def _trace_columnar_replay(quick: bool) -> Workload:
-    return _engine_replay(quick, "columnar")
-
-
-def _trace_records_replay(quick: bool) -> Workload:
-    return _engine_replay(quick, "records")
-
-
-def _engine_mc_replay(quick: bool, engine: str) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.format import TraceReader
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_multicore
-
-    length = 2_000 if quick else 8_000
-    raws: list[bytes] = []
-    records = 0
-    for name in ("server-churn", "pointer-chase"):
-        buffer = BytesIO()
-        record_spec(corpus_spec(name).scaled(length), buffer)
-        raws.append(buffer.getvalue())
-        records += TraceReader(BytesIO(raws[-1])).read_footer()["records"]
-
-    def replay_once() -> None:
-        replay_multicore(
-            [BytesIO(raw) for raw in raws], jobs=1, engine=engine
-        )
-
-    return replay_once, records
-
-
-def _trace_columnar_mc_replay(quick: bool) -> Workload:
-    return _engine_mc_replay(quick, "columnar")
-
-
-def _trace_records_mc_replay(quick: bool) -> Workload:
-    return _engine_mc_replay(quick, "records")
-
-
 def _loadgen_generate(quick: bool) -> Workload:
     from io import BytesIO
 
@@ -597,34 +529,6 @@ SCENARIOS: dict[str, Scenario] = {
             "trace_decompress_replay",
             "CALTRC02 decode: streaming frame-inflating bit-identical replay",
             _trace_decompress_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_columnar_replay",
-            "columnar engine pinned: batched decode+replay of a v2 trace",
-            _trace_columnar_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_records_replay",
-            "per-record oracle pinned: same v2 trace as trace_columnar_replay",
-            _trace_records_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_columnar_mc_replay",
-            "columnar engine pinned: 2-core shared-L3 replay of the mc pair",
-            _trace_columnar_mc_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_records_mc_replay",
-            "per-record oracle pinned: same pair as trace_columnar_mc_replay",
-            _trace_records_mc_replay,
             default_iterations=10,
             default_warmup=1,
         ),

@@ -1,7 +1,7 @@
 """Minimal HTTP/1.1 over asyncio streams — the service's wire layer.
 
 The service deliberately stays on the standard library (the repo's only
-hard dependency is numpy, and only for the columnar replay engine), so
+hard dependency is numpy, for trace decode and replay), so
 this module implements the small slice of HTTP/1.1 the endpoints need:
 
 * request parsing (request line, headers, ``Content-Length`` bodies),

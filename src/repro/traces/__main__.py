@@ -7,7 +7,6 @@ Subcommands::
                                       (--compress writes CALTRC02)
     info    TRACE [--frames]          header + footer + compression stats
     replay  TRACE [--mode ...]        single-process replay
-                                      (--engine columnar|records)
     shard   TRACE --out-dir D -n N    split into N per-epoch-range shards
     replay-shards F... [--jobs N]     replay shards, merged accounting
     replay-mc F... [--cores N]        multi-core shared-L3 replay, one
@@ -168,12 +167,9 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
 
     shard = read_header(arguments.trace).get("shard")
     if shard is not None:
-        # Shard files carry no whole-run summary; replay them with the
-        # region engine (cold ladder, warm markers ignored).
-        merged = replay_shards(
-            [arguments.trace], jobs=1, mode=arguments.mode,
-            engine=arguments.engine,
-        )
+        # Shard files carry no whole-run summary; replay them as a
+        # region (cold ladder, warm markers ignored).
+        merged = replay_shards([arguments.trace], jobs=1, mode=arguments.mode)
         _print_stats(
             merged.stats,
             f"region replay of shard {shard['index'] + 1}/{shard['of']} "
@@ -181,13 +177,10 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
         )
         return 0
     if arguments.mode == "hierarchy":
-        stats = replay_hierarchy(arguments.trace, engine=arguments.engine)
+        stats = replay_hierarchy(arguments.trace)
         _print_stats(stats, "hierarchy replay")
         return 0
-    result = replay_timing(
-        arguments.trace, verify=not arguments.no_verify,
-        engine=arguments.engine,
-    )
+    result = replay_timing(arguments.trace, verify=not arguments.no_verify)
     events = result.events
     verdict = (
         "verification skipped" if arguments.no_verify else "verified bit-identical"
@@ -213,17 +206,14 @@ def _cmd_shard(arguments: argparse.Namespace) -> int:
 
 def _cmd_replay_shards(arguments: argparse.Namespace) -> int:
     merged = replay_shards(
-        arguments.shards, jobs=arguments.jobs, mode=arguments.mode,
-        engine=arguments.engine,
+        arguments.shards, jobs=arguments.jobs, mode=arguments.mode
     )
     _print_stats(merged.stats, f"merged over {merged.shards} shards")
     return 0
 
 
-def _replay_mc_and_print(
-    sources: list, labels: list[str], jobs: int, engine: str | None
-) -> int:
-    replay = replay_multicore(sources, jobs=jobs, engine=engine)
+def _replay_mc_and_print(sources: list, labels: list[str], jobs: int) -> int:
+    replay = replay_multicore(sources, jobs=jobs)
     for core, stats in enumerate(replay.per_core):
         _print_stats(stats, f"core {core} ({labels[core]})")
     _print_stats(replay.merged, f"merged over {replay.cores} cores")
@@ -255,8 +245,7 @@ def _cmd_replay_mc(arguments: argparse.Namespace) -> int:
                     recorded[spec.name] = path
                 sources.append(recorded[spec.name])
             return _replay_mc_and_print(
-                sources, [spec.name for spec in specs], jobs,
-                arguments.engine,
+                sources, [spec.name for spec in specs], jobs
             )
     sources = list(arguments.traces)
     if arguments.cores is not None:
@@ -266,16 +255,7 @@ def _cmd_replay_mc(arguments: argparse.Namespace) -> int:
         # multi-programmed study (N instances of one workload).
         sources = [sources[i % len(sources)] for i in range(arguments.cores)]
     labels = [os.path.basename(source) for source in sources]
-    return _replay_mc_and_print(sources, labels, jobs, arguments.engine)
-
-
-def _add_engine_argument(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--engine", choices=("columnar", "records"), default=None,
-        help="replay engine: columnar (numpy batch kernels, the default "
-        "when numpy is available) or records (pure-Python per-record "
-        "oracle); statistics are bit-identical either way",
-    )
+    return _replay_mc_and_print(sources, labels, jobs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -327,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-verify", action="store_true",
         help="skip footer verification in timing mode",
     )
-    _add_engine_argument(replay)
 
     shard = commands.add_parser("shard", help="split into per-epoch shards")
     shard.add_argument("trace")
@@ -340,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     rs.add_argument("shards", nargs="+", help="shard trace files")
     rs.add_argument("--jobs", "-j", type=int, default=1)
     rs.add_argument("--mode", choices=("timing", "hierarchy"), default="timing")
-    _add_engine_argument(rs)
 
     mc = commands.add_parser(
         "replay-mc",
@@ -369,7 +347,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for the per-core ladder phase "
         "(statistics are identical at any value)",
     )
-    _add_engine_argument(mc)
 
     arguments = parser.parse_args(argv)
     handler = {

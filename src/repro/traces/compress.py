@@ -43,6 +43,8 @@ import struct
 import zlib
 from typing import BinaryIO, Iterator
 
+import numpy as np
+
 from repro.telemetry.runtime import active as telemetry_active
 from repro.traces.format import (
     EV_EPOCH,
@@ -224,22 +226,19 @@ def decode_frame_columns(payload: bytes, record_count: int):
     :func:`_decode_frames_fast`; anything it declines falls back to the
     per-token walk of :func:`_decode_frame_columns_tokens`, which raises
     the same :class:`TraceFormatError` diagnostics as the per-record
-    decoder on corrupt payloads.  Requires numpy.
+    decoder on corrupt payloads.
     """
-    from repro.memory.kernel import require_numpy
-
-    np = require_numpy("columnar frame decode")
     try:
         tokens = zlib.decompress(payload)
     except zlib.error as error:
         raise TraceFormatError(f"corrupt frame: {error}") from None
-    columns = _decode_frames_fast(np, [tokens], [record_count])
+    columns = _decode_frames_fast([tokens], [record_count])
     if columns is not None:
         return columns
-    return _decode_frame_columns_tokens(np, tokens, record_count)
+    return _decode_frame_columns_tokens(tokens, record_count)
 
 
-def _decode_frame_columns_tokens(np, tokens: bytes, record_count: int):
+def _decode_frame_columns_tokens(tokens: bytes, record_count: int):
     """Per-token fallback decoder (also the corrupt-frame diagnoser).
 
     One Python step per token; exactly the validation order of
@@ -309,7 +308,7 @@ def _decode_frame_columns_tokens(np, tokens: bytes, record_count: int):
     )
 
 
-def _decode_frames_fast(np, streams, record_counts):
+def _decode_frames_fast(streams, record_counts):
     """Vectorized decode of one or more inflated token streams.
 
     Returns the concatenated :class:`RecordColumns` of every frame, or
@@ -586,7 +585,7 @@ def iter_compressed_records(reader: TraceReader) -> Iterator[tuple[int, int, int
 FRAME_GROUP_RECORDS = 1 << 18
 
 
-def _decode_group(np, reader, group):
+def _decode_group(reader, group):
     """Decode a list of ``(frame_start, record_count, payload)`` frames
     into one concatenated :class:`RecordColumns`, or — when the fast
     path declines — per-frame token-walk columns with the standard
@@ -603,7 +602,7 @@ def _decode_group(np, reader, group):
                 path, frame_start
             ) from None
     columns = _decode_frames_fast(
-        np, streams, [record_count for _, record_count, _ in group]
+        streams, [record_count for _, record_count, _ in group]
     )
     tel = telemetry_active()
     if tel is not None:
@@ -620,7 +619,7 @@ def _decode_group(np, reader, group):
     for (frame_start, record_count, _), tokens in zip(group, streams):
         try:
             parts.append(
-                _decode_frame_columns_tokens(np, tokens, record_count)
+                _decode_frame_columns_tokens(tokens, record_count)
             )
         except TraceFormatError as error:
             raise error.located(path, frame_start) from None
@@ -642,20 +641,17 @@ def iter_compressed_columns(reader: TraceReader):
     artifact — consumers see the identical concatenated record stream
     whatever the grouping.
     """
-    from repro.memory.kernel import require_numpy
-
-    np = require_numpy("columnar frame decode")
     group: list[tuple[int, int, bytes]] = []
     pending = 0
     for frame_start, record_count, payload in _iter_frames(reader):
         group.append((frame_start, record_count, payload))
         pending += record_count
         if pending >= FRAME_GROUP_RECORDS:
-            yield _decode_group(np, reader, group)
+            yield _decode_group(reader, group)
             group = []
             pending = 0
     if group:
-        yield _decode_group(np, reader, group)
+        yield _decode_group(reader, group)
 
 
 # -- frame statistics (no decompression) --------------------------------------

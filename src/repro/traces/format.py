@@ -45,10 +45,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO, Iterator
+from typing import BinaryIO, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy
+import numpy as np
 
 from repro.telemetry.runtime import active as telemetry_active
 from repro.workloads.generator import (  # noqa: F401  (re-exported)
@@ -145,9 +144,9 @@ class RecordColumns:
     yields the identical record stream :meth:`TraceReader.records` would.
     """
 
-    kind: "numpy.ndarray"
-    address: "numpy.ndarray"
-    arg: "numpy.ndarray"
+    kind: np.ndarray
+    address: np.ndarray
+    arg: np.ndarray
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -397,9 +396,10 @@ class TraceReader:
     #: over more records (64 Ki records ≈ 832 KB resident, still bounded).
     COLUMN_CHUNK_RECORDS = 1 << 16
 
-    #: The v1 record as a structured numpy dtype (packed, little-endian):
-    #: built lazily so importing this module never requires numpy.
-    _COLUMN_DTYPE = None
+    #: The v1 record as a structured numpy dtype (packed, little-endian).
+    _COLUMN_DTYPE = np.dtype(
+        [("kind", "u1"), ("address", "<u8"), ("arg", "<u4")]
+    )
 
     def column_batches(self) -> Iterator[RecordColumns]:
         """Yield the record stream as :class:`RecordColumns` batches.
@@ -414,9 +414,6 @@ class TraceReader:
 
         Like :meth:`records`, the stream is single-pass; mixing the two
         iteration styles on one reader is not supported.
-
-        Requires numpy (see
-        :func:`repro.memory.kernel.require_numpy`).
         """
         if self._records_iter is not None:
             raise RuntimeError(
@@ -430,14 +427,7 @@ class TraceReader:
         return self._iter_columns_v1()
 
     def _iter_columns_v1(self) -> Iterator[RecordColumns]:
-        from repro.memory.kernel import require_numpy
-
-        np = require_numpy("columnar trace decode")
-        if TraceReader._COLUMN_DTYPE is None:
-            TraceReader._COLUMN_DTYPE = np.dtype(
-                [("kind", "u1"), ("address", "<u8"), ("arg", "<u4")]
-            )
-        dtype = TraceReader._COLUMN_DTYPE
+        dtype = self._COLUMN_DTYPE
         chunk_bytes = self.COLUMN_CHUNK_RECORDS * RECORD_SIZE
         pending = b""
         position = self.data_offset  # file offset of the next record

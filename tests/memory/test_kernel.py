@@ -4,25 +4,26 @@ Property layer under the whole-registry differential suite
 (``tests/traces/test_columnar_equivalence.py``): every kernel class is
 driven side by side with its per-access twin over randomized streams and
 must agree on every counter and on the residual miss stream — the
-invariant the columnar replay engine's bit-identical claim rests on.
+invariant the replayer's bit-identical claim rests on.  The seeded
+tests pin the paper's geometry; the Hypothesis properties at the end
+draw random geometries, streams and batch splits.
 """
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import kernel
 from repro.memory.cache import CacheGeometry, TagOnlyCache
-from repro.memory.hierarchy import WESTMERE
+from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.memory.kernel import (
     CFORM_LINE_STRIDE,
-    HAVE_NUMPY,
     LadderKernel,
     LruTagKernel,
     expand_touches,
-    require_numpy,
 )
 from repro.memory.multicore import PrivateLadder, SharedL3, SharedL3Kernel
 from repro.workloads.generator import (
@@ -67,17 +68,6 @@ class TestKindConstants:
         assert kernel.KIND_CFORM == EV_CFORM
         assert kernel.KIND_WARM == EV_WARM
         assert kernel.KIND_EPOCH == EV_EPOCH
-
-
-class TestNumpyGate:
-    def test_have_numpy_is_true_here(self):
-        assert HAVE_NUMPY
-        assert require_numpy() is np
-
-    def test_missing_numpy_raises_directed_error(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_np", None)
-        with pytest.raises(ImportError, match="engine='records'"):
-            require_numpy("a unit test")
 
 
 class TestLruTagKernel:
@@ -238,3 +228,155 @@ class TestSharedL3Kernel:
     def test_rejects_nonpositive_cores(self):
         with pytest.raises(ValueError, match="positive"):
             SharedL3Kernel(WESTMERE, 0)
+
+
+# -- properties: random geometries, streams and batch splits ----------------
+
+
+@st.composite
+def geometries(draw):
+    """Any legal geometry: non-power-of-two set counts, 1-16 ways."""
+    line_size = draw(st.sampled_from((16, 32, 64, 128)))
+    associativity = draw(st.integers(1, 16))
+    num_sets = draw(st.integers(1, 48))
+    return CacheGeometry(
+        size_bytes=line_size * associativity * num_sets,
+        associativity=associativity,
+        line_size=line_size,
+    )
+
+
+@st.composite
+def address_streams(draw):
+    """Addresses mixing same-address and same-line repeats, stride walks
+    and random jumps over a drawn footprint.
+
+    The stream itself comes from a drawn seed: long enough streams to
+    keep many sets active at once (the kernel's vectorized rounds) are
+    far beyond what element-wise drawing produces.
+    """
+    count = draw(st.integers(1, 1500))
+    span = draw(st.sampled_from((1 << 10, 1 << 14, 1 << 20)))
+    repeat = draw(st.floats(0.0, 0.9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    addresses = [rng.randrange(span)]
+    while len(addresses) < count:
+        roll = rng.random()
+        if roll < repeat / 2:  # same address again
+            addresses.append(addresses[-1])
+        elif roll < repeat:  # same line (or its neighbour)
+            addresses.append(addresses[-1] + rng.randrange(64))
+        elif roll < (1 + repeat) / 2:  # stride walk
+            addresses.append(addresses[-1] + rng.choice((8, 64, 128)))
+        else:  # random jump
+            addresses.append(rng.randrange(span))
+    return np.array(addresses, dtype=np.int64)
+
+
+def split_points(count: int):
+    """Sorted cut positions splitting a ``count``-long stream in blocks."""
+    return st.lists(st.integers(0, count), max_size=6).map(sorted)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(geometries(), address_streams(), st.data())
+    def test_lru_kernel_matches_tag_only_cache(self, geometry, addresses, data):
+        cuts = data.draw(split_points(len(addresses)))
+        reference = TagOnlyCache(geometry)
+        batched = LruTagKernel(geometry)
+        expected = [not reference.access(a) for a in addresses.tolist()]
+        produced = np.concatenate(
+            [batched.access_block(block) for block in np.split(addresses, cuts)]
+        )
+        assert produced.tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == (
+            reference.accesses, reference.hits, reference.misses
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((2, 3)),
+        geometries(),
+        geometries(),
+        geometries(),
+        address_streams(),
+        st.data(),
+    )
+    def test_ladder_kernel_matches_tag_only_ladder(
+        self, levels, l1, l2, l3, addresses, data
+    ):
+        cuts = data.draw(split_points(len(addresses)))
+        config = HierarchyConfig(l1_geometry=l1, l2_geometry=l2, l3_geometry=l3)
+        ladder = [TagOnlyCache(geometry) for geometry in (l1, l2, l3)[:levels]]
+        expected = []
+        for index, address in enumerate(addresses.tolist()):
+            if not any(level.access(address) for level in ladder):
+                expected.append(index)
+        batched = LadderKernel(config, levels=levels)
+        produced = []
+        start = 0
+        for block in np.split(addresses, cuts):
+            produced.extend((batched.touch_block(block) + start).tolist())
+            start += len(block)
+        assert produced == expected
+        for (_, kernel_level), level in zip(batched.levels, ladder):
+            assert (kernel_level.accesses, kernel_level.misses) == (
+                level.accesses, level.misses
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(address_streams(), st.data())
+    def test_ladder_kernel_matches_on_the_table3_hierarchy(self, addresses, data):
+        # The paper's geometry (Table 3) with random streams and splits;
+        # the pessimistic extra-latency variant shares it.
+        cuts = data.draw(split_points(len(addresses)))
+        ladder = [
+            TagOnlyCache(geometry)
+            for geometry in (
+                WESTMERE.l1_geometry, WESTMERE.l2_geometry, WESTMERE.l3_geometry
+            )
+        ]
+        for address in addresses.tolist():
+            any(level.access(address) for level in ladder)
+        batched = LadderKernel(WESTMERE, levels=3)
+        for block in np.split(addresses, cuts):
+            batched.touch_block(block)
+        for (_, kernel_level), level in zip(batched.levels, ladder):
+            assert (
+                kernel_level.accesses, kernel_level.hits, kernel_level.misses
+            ) == (level.accesses, level.hits, level.misses)
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometries(), st.integers(1, 4), address_streams(), st.data())
+    def test_shared_l3_kernel_matches_shared_l3(
+        self, geometry, cores, addresses, data
+    ):
+        config = HierarchyConfig(l3_geometry=geometry)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        core_column = np.random.default_rng(seed).integers(
+            0, cores, len(addresses), dtype=np.int64
+        )
+        cuts = data.draw(split_points(len(addresses)))
+        # After each batch, optionally reset one core's attribution.
+        resets = data.draw(
+            st.lists(
+                st.one_of(st.none(), st.integers(0, cores - 1)),
+                min_size=len(cuts) + 1,
+                max_size=len(cuts) + 1,
+            )
+        )
+        reference = SharedL3(config, cores)
+        batched = SharedL3Kernel(config, cores)
+        bounds = [0, *cuts, len(addresses)]
+        for start, stop, reset in zip(bounds, bounds[1:], resets):
+            for core, address in zip(
+                core_column[start:stop].tolist(), addresses[start:stop].tolist()
+            ):
+                reference.access(core, address)
+            batched.replay_columns(core_column[start:stop], addresses[start:stop])
+            if reset is not None:
+                reference.reset_core(reset)
+                batched.reset_core(reset)
+            assert batched.accesses == reference.accesses
+            assert batched.misses == reference.misses

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro import cli
+from repro.experiments import runner
 from repro.experiments.context import RunContext
 from repro.experiments.registry import select
 from repro.experiments.results import (
@@ -100,6 +101,18 @@ class TestBoundedRetry:
             i for i in report.incidents if i["kind"] == "worker-crash"
         ]
         assert crash and all(i["retried"] for i in crash)
+
+    def test_retry_round_pool_is_sized_to_pending_sections(
+        self, record_pool_sizes
+    ):
+        # The fork start method spawns every worker up front: a round
+        # with two pending sections must not fork jobs=4 workers.
+        sizes = record_pool_sizes(runner)
+        results, errors = runner._attempt_round(
+            select(SECTIONS), _ctx(jobs=4)
+        )
+        assert sizes == [2]
+        assert sorted(results) == SECTIONS and not errors
 
 
 class TestArtifacts:

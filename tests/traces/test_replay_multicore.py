@@ -60,6 +60,16 @@ class TestJobsInvariance:
             merged = merged.merged_with(stats)
         assert replay.merged == merged
 
+    def test_pool_never_exceeds_the_core_count(
+        self, trace_pair, record_pool_sizes
+    ):
+        from repro.traces import replayer
+
+        sizes = record_pool_sizes(replayer)
+        sources = list(trace_pair.values())
+        assert replay_multicore(sources, jobs=8) == replay_multicore(sources)
+        assert sizes == [len(sources)]
+
 
 class TestSingleCoreEquivalence:
     def test_one_core_matches_single_ladder_replay(self, trace_pair):

@@ -1,4 +1,4 @@
-"""Tests for the replay engines: integrity checking, sharding, hierarchy."""
+"""Tests for the replayer: integrity checking, sharding, hierarchy."""
 
 import io
 
@@ -103,6 +103,20 @@ class TestSharding:
             replay_shards([], jobs=1)
         with pytest.raises(ValueError):
             replay_shards([path], mode="quantum")
+
+    def test_pool_never_exceeds_the_shard_count(
+        self, small_trace, tmp_path, record_pool_sizes
+    ):
+        # The fork start method spawns every worker up front, so asking
+        # for more workers than shards only forks idle processes.
+        from repro.traces import replayer
+
+        sizes = record_pool_sizes(replayer)
+        path, _ = small_trace
+        shards = shard_trace(path, str(tmp_path / "pool"), shards=2)
+        merged = replay_shards(shards, jobs=8)
+        assert sizes == [2]
+        assert merged == replay_shards(shards, jobs=1)
 
 
 class TestHierarchyMode:
