@@ -35,10 +35,12 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces.format import EV_END, MAGIC, RECORD, TraceReader
+from repro.traces.format import EV_END, MAGIC, RECORD, RECORD_DTYPE, TraceReader
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
 from repro.traces.replayer import replay_timing
@@ -111,22 +113,31 @@ def spec_fingerprint(
     return hashlib.sha256(canonical).hexdigest()
 
 
+#: Largest ``arg`` a canonical record can carry (its ``u32`` field).
+_ARG_MAX = 0xFFFFFFFF
+
+
 def canonical_digest(source) -> tuple[str, int, dict]:
     """sha256, length and footer of a trace's canonical CALTRC01 stream.
 
     Streams the file (any container version) and hashes the exact bytes
     its v1 serialisation would hold — header ``format`` normalised to
-    ``CALTRC01`` so a transcoded twin hashes identically.  The footer is
-    returned as well (the stream was fully drained to hash it, so
-    callers wanting record counts need no second pass).
+    ``CALTRC01`` so a transcoded twin hashes identically.  The records
+    are hashed a column batch at a time: each batch is packed into a
+    :data:`~repro.traces.format.RECORD_DTYPE` array whose buffer goes to
+    sha256 as is.  A record the v1 layout cannot hold (negative address,
+    ``arg`` outside ``u32``) raises :class:`TraceFormatError` rather
+    than being wrapped.  The footer is returned as well (the stream was
+    fully drained to hash it, so callers wanting record counts need no
+    second pass).
     """
     digest = hashlib.sha256()
     length = 0
 
-    def feed(data: bytes) -> None:
+    def feed(data) -> None:
         nonlocal length
         digest.update(data)
-        length += len(data)
+        length += memoryview(data).nbytes
 
     with TraceReader(source) as reader:
         header = dict(reader.header)
@@ -136,12 +147,26 @@ def canonical_digest(source) -> tuple[str, int, dict]:
         feed(MAGIC)
         feed(struct.pack("<I", len(header_bytes)))
         feed(header_bytes)
-        pack = RECORD.pack
-        for kind, address, arg in reader.records():
-            feed(pack(kind, address, arg))
-        footer = reader.read_footer()
+        for batch in reader.column_batches():
+            # ``initial=0`` keeps an empty batch (an empty frame) legal.
+            if (
+                batch.address.min(initial=0) < 0
+                or batch.arg.min(initial=0) < 0
+                or batch.arg.max(initial=0) > _ARG_MAX
+            ):
+                raise reader.error(
+                    "record outside the canonical CALTRC01 range "
+                    "(negative address, or arg beyond u32)"
+                )
+            rows = np.empty(len(batch), dtype=RECORD_DTYPE)
+            rows["kind"] = batch.kind
+            rows["address"] = batch.address
+            rows["arg"] = batch.arg
+            feed(rows)
+        # Draining the batches parsed the footer.
+        footer = reader.footer
         footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
-        feed(pack(EV_END, 0, len(footer_bytes)))
+        feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
         feed(footer_bytes)
     return digest.hexdigest(), length, footer
 
@@ -187,7 +212,10 @@ class CorpusStore:
         self.reclaimed_bytes = 0
         #: Digests this handle already re-hashed successfully; a sweep
         #: replaying one baseline object dozens of times pays the hash
-        #: once (replay-time damage is still caught by ``run_result``).
+        #: once per handle (replay-time damage is still caught by
+        #: ``run_result``).  The hash runs the same columnar frame
+        #: decode a replay does, so an object's first read costs one
+        #: extra decode plus the sha256 over its canonical bytes.
         self._verified: set[str] = set()
 
     # -- paths ---------------------------------------------------------------
@@ -264,7 +292,7 @@ class CorpusStore:
         ):
             return None
         try:
-            digest, raw_bytes, _footer = canonical_digest(path)
+            digest, raw_bytes = self._rehash(path)
         except DAMAGE_ERRORS as error:
             return f"object {entry.digest[:12]}… unreadable: {error}"
         if digest != entry.digest:
@@ -278,6 +306,19 @@ class CorpusStore:
             )
         self._verified.add(entry.digest)
         return None
+
+    @staticmethod
+    def _rehash(path: str) -> tuple[str, int]:
+        """Canonical digest and length of an object, inside a
+        ``corpus/verify`` span when telemetry is on."""
+        tel = telemetry_active()
+        if tel is None:
+            return canonical_digest(path)[:2]
+        with tel.span("corpus/verify") as tspan:
+            digest, raw_bytes, _footer = canonical_digest(path)
+            tspan.set("bytes", raw_bytes)
+        tel.inc("corpus_verify_bytes_total", raw_bytes)
+        return digest, raw_bytes
 
     def _quarantine_file(self, path: str, name: str) -> str | None:
         """Move ``path`` into the quarantine dir; returns the new path."""
@@ -398,11 +439,11 @@ class CorpusStore:
         try:
             with telemetry_span("corpus/record", scenario=spec.name) as tspan:
                 record_spec(spec, temp_path, config=config, compress=True)
-                # One decode pass over the fresh recording.  (A hashing
-                # tee inside the writer could fold this into the
-                # recording pass; the cold path runs once per workload
-                # ever, so the extra read is accepted for the recorder's
-                # simplicity.)
+                # One columnar decode pass over the fresh recording.
+                # It costs a small fraction of the recording it follows
+                # (live generation dominates a cold build), so a hashing
+                # tee inside the writer would buy little for its
+                # coupling of the recorder to the digest.
                 digest, raw_bytes, footer = canonical_digest(temp_path)
                 stored_bytes = os.path.getsize(temp_path)
                 records = footer.get("records", 0)

@@ -75,6 +75,10 @@ EV_END = 0xFF
 RECORD = struct.Struct("<BQI")
 RECORD_SIZE = RECORD.size
 
+#: The same record as a packed, little-endian numpy row: an array of
+#: these has the byte layout of consecutive ``RECORD`` structs.
+RECORD_DTYPE = np.dtype([("kind", "u1"), ("address", "<u8"), ("arg", "<u4")])
+
 #: Human-readable names, for ``info`` output and error messages.
 KIND_NAMES = {
     EV_LOAD: "load",
@@ -396,11 +400,6 @@ class TraceReader:
     #: over more records (64 Ki records ≈ 832 KB resident, still bounded).
     COLUMN_CHUNK_RECORDS = 1 << 16
 
-    #: The v1 record as a structured numpy dtype (packed, little-endian).
-    _COLUMN_DTYPE = np.dtype(
-        [("kind", "u1"), ("address", "<u8"), ("arg", "<u4")]
-    )
-
     def column_batches(self) -> Iterator[RecordColumns]:
         """Yield the record stream as :class:`RecordColumns` batches.
 
@@ -427,7 +426,7 @@ class TraceReader:
         return self._iter_columns_v1()
 
     def _iter_columns_v1(self) -> Iterator[RecordColumns]:
-        dtype = self._COLUMN_DTYPE
+        dtype = RECORD_DTYPE
         chunk_bytes = self.COLUMN_CHUNK_RECORDS * RECORD_SIZE
         pending = b""
         position = self.data_offset  # file offset of the next record

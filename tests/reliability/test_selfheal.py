@@ -24,6 +24,8 @@ from repro.reliability.matrix import (
     _corpus_case,
     _matrix_spec,
 )
+from repro.traces.compress import CompressedTraceWriter
+from repro.traces.format import EV_LOAD, read_header
 from repro.corpus import __main__ as corpus_cli
 
 
@@ -145,6 +147,47 @@ class TestReplayHeals:
         assert result.instructions > 0
         assert store.healed == 1
         assert os.path.exists(resolved.path)  # re-recorded in place
+
+
+class TestOutOfRangeRecords:
+    """A CALTRC02 frame can decode to a record the canonical CALTRC01
+    layout cannot hold.  Such an object is damage like any other: it is
+    reported and healed, never a crash out of the digest."""
+
+    CASES = {"arg-beyond-u32": (0x1000, 1 << 33), "negative-address": (-0x1000, 8)}
+
+    @pytest.fixture(params=sorted(CASES))
+    def damaged(self, request, template, tmp_path):
+        root, digest = template
+        copy = str(tmp_path / "corpus")
+        shutil.copytree(root, copy)
+        path = CorpusStore(copy).object_path(digest)
+        address, arg = self.CASES[request.param]
+        with CompressedTraceWriter(path, read_header(path)) as writer:
+            writer.append(EV_LOAD, address, arg)
+            writer.set_footer({"records": 1})
+        return copy, digest
+
+    def test_ensure_quarantines_and_restores(self, damaged):
+        copy, digest = damaged
+        store = CorpusStore(copy)
+        resolved = store.ensure(_spec())
+        assert resolved.built
+        assert resolved.entry.digest == digest
+        assert store.healed == 1
+        assert f"{digest}.trace" in os.listdir(store.quarantine_dir)
+        assert CorpusStore(copy).verify() == []
+
+    def test_verify_reports_without_raising(self, damaged):
+        copy, _digest = damaged
+        (problem,) = CorpusStore(copy).verify()
+        assert "canonical CALTRC01 range" in problem
+
+    def test_repair_restores_byte_identically(self, damaged):
+        copy, _digest = damaged
+        problems, actions = CorpusStore(copy).repair()
+        assert len(problems) == 1
+        assert "restored byte-identically" in actions[0]
 
 
 class TestManifestHeals:

@@ -71,12 +71,15 @@ def test_corpus_resolutions_count_recorded_then_hit(tmp_path):
 def test_corpus_verify_counts_outcomes(tmp_path):
     handle = runtime.configure(str(tmp_path / "tel"))
     store = CorpusStore(str(tmp_path / "corpus"))
-    store.ensure(CORPUS["server-churn"].scaled(INSTRUCTIONS))
+    resolved = store.ensure(CORPUS["server-churn"].scaled(INSTRUCTIONS))
     assert store.verify() == []
     document = exported(handle)
-    assert (
-        document["counters"]['corpus_verifications_total{outcome="ok"}'] == 1
-    )
+    counters = document["counters"]
+    assert counters['corpus_verifications_total{outcome="ok"}'] == 1
+    assert counters["corpus_verify_bytes_total"] == resolved.entry.raw_bytes
+    log = read_span_log(os.path.join(handle.directory, runtime.SPAN_LOG_NAME))
+    (record,) = [r for r in log.spans if r["name"] == "corpus/verify"]
+    assert record["attrs"]["bytes"] == resolved.entry.raw_bytes
 
 
 def test_disabled_run_writes_nothing(tmp_path):

@@ -1,4 +1,4 @@
-"""Per-record replay oracle for the columnar replayer.
+"""Per-record oracles for the columnar replayer and the corpus digest.
 
 Replays a trace one ``(kind, address, arg)`` record at a time through
 the per-access reference classes — a :class:`TagOnlyCache` ladder for
@@ -16,9 +16,17 @@ The semantics pinned here are the replayer's documented ones:
 * multi-core streams interleave round-robin per record, core 0 first,
   and core ``c`` presents its addresses offset by ``c << 44`` (disjoint
   physical spaces for co-runners recorded in one synthetic space).
+
+:func:`canonical_digest_records` is the per-record twin of
+:func:`repro.corpus.store.canonical_digest`: the canonical CALTRC01
+stream packed one ``struct`` record at a time.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import struct
 
 from repro.core.cform import CformRequest
 from repro.cpu.pipeline import MemoryEventCounts
@@ -28,10 +36,13 @@ from repro.memory.multicore import MultiCoreHierarchy
 from repro.traces.format import (
     EV_ALLOC,
     EV_CFORM,
+    EV_END,
     EV_EPOCH,
     EV_LOAD,
     EV_STORE,
     EV_WARM,
+    MAGIC,
+    RECORD,
     TraceFormatError,
     TraceReader,
     read_header,
@@ -236,3 +247,32 @@ def replay_multicore(core_sources: list, config=None) -> MulticoreReplay:
     for stats in per_core[1:]:
         merged = merged.merged_with(stats)
     return MulticoreReplay(cores=cores, per_core=per_core, merged=merged)
+
+
+def canonical_digest_records(source) -> tuple[str, int, dict]:
+    """sha256, length and footer of the canonical CALTRC01 stream,
+    serialised record by record through ``RECORD.pack``."""
+    digest = hashlib.sha256()
+    length = 0
+
+    def feed(data: bytes) -> None:
+        nonlocal length
+        digest.update(data)
+        length += len(data)
+
+    with TraceReader(source) as reader:
+        header = dict(reader.header)
+        if "format" in header:
+            header["format"] = MAGIC.decode("ascii")
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        feed(MAGIC)
+        feed(struct.pack("<I", len(header_bytes)))
+        feed(header_bytes)
+        pack = RECORD.pack
+        for kind, address, arg in reader.records():
+            feed(pack(kind, address, arg))
+        footer = reader.read_footer()
+        footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
+        feed(pack(EV_END, 0, len(footer_bytes)))
+        feed(footer_bytes)
+    return digest.hexdigest(), length, footer
