@@ -60,9 +60,10 @@ experiments-full:
 	$(PY) -m repro run --full --jobs 4
 
 ## CI gate: the whole experiment matrix at quick profile, 2 workers;
-## writes EXPERIMENTS.md and the results/*.json artifact set.
+## writes EXPERIMENTS.md and the results/*.json artifact set, and fails
+## when any section drifts from results/reference/ (--check).
 experiments-smoke:
-	$(PY) -m repro run --profile quick --jobs 2
+	$(PY) -m repro run --profile quick --jobs 2 --check
 
 ## CI gate: the fault-injection matrix — every fault kind against every
 ## consumer (ensure / replay / verify --repair / lock / runner), each

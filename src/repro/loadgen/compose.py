@@ -17,9 +17,11 @@ replayers and the multi-core engine unchanged:
    working-set fault-in;
 4. tenant addresses are offset into disjoint namespaces
    (``tenant * TENANT_ADDRESS_STRIDE``) and the chunks are merged by
-   arrival time into one open-loop stream, played through a fresh
-   tag-only ladder with the replayer's exact accounting semantics — so
-   the recorded footer verifies bit-identically on replay.
+   arrival time into one open-loop stream, emitted record by record into
+   the replayer's own record → ladder loop
+   (:class:`repro.memory.kernel.LadderStream`) — so CFORM expansion and
+   the warmup reset are the replayer's by construction, and the recorded
+   footer verifies bit-identically on replay.
 
 The capture sinks never consume a tenant generator's RNG and the merge
 is a pure function of the document, so two compositions of the same
@@ -33,10 +35,8 @@ import hashlib
 import heapq
 from dataclasses import replace
 
-from repro.cpu.pipeline import MemoryEventCounts
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.schema import LoadScenario
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
@@ -45,13 +45,10 @@ from repro.traces.registry import TraceScenarioSpec, corpus_spec
 from repro.workloads.generator import (
     ALLOC_HOOK_INSTRUCTIONS,
     CFORM_SETUP_INSTRUCTIONS,
-    EV_ALLOC,
-    EV_CFORM,
-    EV_LOAD,
-    EV_STORE,
     EV_WARM,
     RunResult,
     Scenario,
+    live_stream,
 )
 
 #: Per-tenant address-space stride.  Above every address the tenant
@@ -169,10 +166,10 @@ def run_composed(
 ) -> RunResult:
     """Compose and play one load scenario; ``run_trace``-shaped result.
 
-    Every tenant chunk is played in merged arrival order through a
-    fresh tag-only ladder using the replayer's exact semantics (CFORM
-    expansion, warmup counter reset at the emitted ``EV_WARM``), so the
-    returned statistics — and hence the recorded footer — verify
+    Every tenant chunk is emitted in merged arrival order into a fresh
+    :class:`~repro.memory.kernel.LadderStream` — the replayer's own loop
+    (CFORM expansion, warmup counter reset at the emitted ``EV_WARM``) —
+    so the returned statistics, and hence the recorded footer, verify
     bit-identically on replay.  ``sink`` receives the merged stream
     (one ``burst()`` per chunk, so epoch markers land between arrivals
     and shard splits never tear an allocation cluster); the accounting
@@ -228,86 +225,43 @@ def _run_composed(
             scenario=load.name,
         )
 
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-    l1_access, l2_access, l3_access = l1.access, l2.access, l3.access
-    record = sink.append if sink is not None else None
-
     app_instructions = 0.0
-    overhead_instructions = 0.0
-    cform_lines = 0
-    cform_records = 0
-    alloc_events = 0
     warm_pending = load.warmup_s > 0.0
+    with live_stream(config, sink, "loadgen") as stream:
+        emit = stream.append
+        # Tenants' streams are time-sorted; (time, tenant, index) is a
+        # total order, so the merge is deterministic even on equal
+        # timestamps.
+        for time_s, tenant, index, offset, chunk in heapq.merge(
+            *merged_streams, key=lambda item: (item[0], item[1], item[2])
+        ):
+            if warm_pending and time_s >= load.warmup_s:
+                warm_pending = False
+                emit(EV_WARM, 0, 0)
+                app_instructions = 0.0
+            app_instructions += burst_cost[tenant]
+            for kind, address, arg in chunk:
+                emit(kind, address + offset, arg)
+            stream.burst()
+        if warm_pending:
+            # Every arrival fell inside the warmup prefix: the boundary
+            # still lands (trailing), so replay agrees the run measured
+            # nothing past warmup.
+            emit(EV_WARM, 0, 0)
+            app_instructions = 0.0
 
-    def discard_warmup() -> None:
-        nonlocal app_instructions, overhead_instructions, cform_lines
-        nonlocal cform_records, alloc_events
-        l1.reset_counters()
-        l2.reset_counters()
-        l3.reset_counters()
-        app_instructions = 0.0
-        overhead_instructions = 0.0
-        cform_lines = 0
-        cform_records = 0
-        alloc_events = 0
-        if record is not None:
-            record(EV_WARM, 0, 0)
-
-    # Tenants' streams are time-sorted; (time, tenant, index) is a total
-    # order, so the merge is deterministic even on equal timestamps.
-    for time_s, tenant, index, offset, chunk in heapq.merge(
-        *merged_streams, key=lambda item: (item[0], item[1], item[2])
-    ):
-        if warm_pending and time_s >= load.warmup_s:
-            warm_pending = False
-            discard_warmup()
-        app_instructions += burst_cost[tenant]
-        for kind, address, arg in chunk:
-            address += offset
-            if record is not None:
-                record(kind, address, arg)
-            if kind == EV_LOAD or kind == EV_STORE:
-                if not l1_access(address):
-                    if not l2_access(address):
-                        l3_access(address)
-            elif kind == EV_CFORM:
-                cform_records += 1
-                cform_lines += arg
-                overhead_instructions += arg * (1 + CFORM_SETUP_INSTRUCTIONS)
-                for line_index in range(arg):
-                    line_address = address + line_index * 64
-                    if not l1_access(line_address):
-                        if not l2_access(line_address):
-                            l3_access(line_address)
-            elif kind == EV_ALLOC:
-                alloc_events += 1
-            # EV_FREE carries no cache touches.
-        if sink is not None:
-            sink.burst()
-    if warm_pending:
-        # Every arrival fell inside the warmup prefix: the boundary
-        # still lands (trailing), so replay agrees the run measured
-        # nothing past warmup.
-        discard_warmup()
-
-    # One allocation hook per CFORM pair (free side + alloc side), as in
-    # the generator's accounting; attack tenants emit no CFORM records.
-    overhead_instructions += (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
-
-    return RunResult(
-        benchmark=f"loadgen/{load.name}",
-        scenario=scenario if scenario is not None else Scenario.baseline(),
-        instructions=int(app_instructions + overhead_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
-        cform_instructions=cform_lines,
-        alloc_events=alloc_events,
+    # Each CFORM line costs its setup instructions, and each CFORM pair
+    # (free side + alloc side) one allocation hook, as in the
+    # generator's accounting; attack tenants emit no CFORM records.
+    overhead_instructions = (
+        stream.cform_lines * (1 + CFORM_SETUP_INSTRUCTIONS)
+        + (stream.cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
+    )
+    return RunResult.live(
+        f"loadgen/{load.name}",
+        scenario if scenario is not None else Scenario.baseline(),
+        int(app_instructions + overhead_instructions),
+        stream,
     )
 
 

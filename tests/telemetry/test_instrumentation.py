@@ -6,9 +6,10 @@ import os
 from repro.corpus.store import CorpusStore
 from repro.telemetry import runtime
 from repro.telemetry.export import metrics_document, read_span_log
-from repro.traces.recorder import record_spec
+from repro.traces.recorder import live_run, record_spec
 from repro.traces.registry import CORPUS
 from repro.traces.replayer import replay_timing
+from repro.workloads import generator
 
 INSTRUCTIONS = 2000
 
@@ -51,6 +52,37 @@ def test_replay_span_carries_touches(tmp_path):
     )
     (record,) = [r for r in log.spans if r["name"] == "replay/timing"]
     assert record["attrs"]["touches"] > 0
+
+
+def test_live_runs_emit_workload_spans_and_kernel_counters(tmp_path):
+    handle = runtime.configure(str(tmp_path / "tel"))
+    results = {
+        driver: live_run(CORPUS[name].scaled(INSTRUCTIONS))
+        for driver, name in (
+            ("generator", "server-churn"), ("attacks", "attack-replay")
+        )
+    }
+    document = exported(handle)
+    log = read_span_log(os.path.join(handle.directory, runtime.SPAN_LOG_NAME))
+    spans = [r for r in log.spans if r["name"] == "workload/live"]
+    assert {r["attrs"]["driver"]: r["attrs"]["touches"] for r in spans} == {
+        driver: result.events.l1_accesses
+        for driver, result in results.items()
+    }
+    assert document["counters"]['kernel_accesses_total{level="l1"}'] == sum(
+        result.events.l1_accesses for result in results.values()
+    )
+    assert document["counters"]['kernel_rounds_total{level="l3"}'] > 0
+
+
+def test_disabled_live_run_costs_one_lookup(monkeypatch):
+    lookups = []
+    lookup = generator.telemetry_active
+    monkeypatch.setattr(
+        generator, "telemetry_active", lambda: lookups.append(1) or lookup()
+    )
+    live_run(CORPUS["server-churn"].scaled(INSTRUCTIONS))
+    assert lookups == [1]
 
 
 def test_corpus_resolutions_count_recorded_then_hit(tmp_path):

@@ -1,9 +1,10 @@
 """Per-record oracles for the columnar replayer and the corpus digest.
 
 Replays a trace one ``(kind, address, arg)`` record at a time through
-the per-access reference classes — a :class:`TagOnlyCache` ladder for
+the per-access reference classes — a ``TagOnlyCache`` ladder for
 timing mode, :meth:`MemoryHierarchy.replay_trace` for hierarchy mode,
-:class:`MultiCoreHierarchy` for shared-L3 replay — and returns the same
+``MultiCoreHierarchy`` for shared-L3 replay (both from
+``tests/cache_oracle.py``) — and returns the same
 accounting types as :mod:`repro.traces.replayer`, so the differential
 suite compares the two with plain ``==``.
 
@@ -28,11 +29,11 @@ import hashlib
 import json
 import struct
 
+from cache_oracle import MultiCoreHierarchy, TagOnlyCache
+
 from repro.core.cform import CformRequest
 from repro.cpu.pipeline import MemoryEventCounts
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import MemoryHierarchy, amat_cycles
-from repro.memory.multicore import MultiCoreHierarchy
 from repro.traces.format import (
     EV_ALLOC,
     EV_CFORM,
@@ -97,27 +98,26 @@ class _Tally:
         )
 
 
-def timing_stats(source, honor_warm: bool = True) -> ShardStats:
-    """Timing replay through a cold per-access ``TagOnlyCache`` ladder."""
-    with TraceReader(source) as reader:
-        config = _config_from_header(reader.header)
-        ladder = [
-            TagOnlyCache(geometry)
-            for geometry in (
-                config.l1_geometry, config.l2_geometry, config.l3_geometry
-            )
-        ]
-        tally = _Tally()
-        for kind, address, arg in reader.records():
-            if kind == EV_WARM and honor_warm:
-                for level in ladder:
-                    level.reset_counters()
-                tally = _Tally()
-            for touch in tally.touch_addresses(kind, address, arg):
-                for level in ladder:
-                    if level.access(touch):
-                        break
-        reader.read_footer()
+def ladder_stats(records, config, honor_warm: bool = True) -> ShardStats:
+    """Timing accounting of a ``(kind, address, arg)`` record stream fed
+    one record at a time through a cold per-access ``TagOnlyCache``
+    ladder."""
+    ladder = [
+        TagOnlyCache(geometry)
+        for geometry in (
+            config.l1_geometry, config.l2_geometry, config.l3_geometry
+        )
+    ]
+    tally = _Tally()
+    for kind, address, arg in records:
+        if kind == EV_WARM and honor_warm:
+            for level in ladder:
+                level.reset_counters()
+            tally = _Tally()
+        for touch in tally.touch_addresses(kind, address, arg):
+            for level in ladder:
+                if level.access(touch):
+                    break
     l1, l2, l3 = ladder
     events = MemoryEventCounts(
         l1_accesses=l1.accesses,
@@ -132,6 +132,15 @@ def timing_stats(source, honor_warm: bool = True) -> ShardStats:
             config, l1.accesses, l1.misses, l2.misses, l3.misses
         ),
     )
+
+
+def timing_stats(source, honor_warm: bool = True) -> ShardStats:
+    """Timing replay through a cold per-access ``TagOnlyCache`` ladder."""
+    with TraceReader(source) as reader:
+        config = _config_from_header(reader.header)
+        stats = ladder_stats(reader.records(), config, honor_warm)
+        reader.read_footer()
+    return stats
 
 
 def hierarchy_stats(source, honor_warm: bool = True) -> ShardStats:
