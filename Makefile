@@ -139,10 +139,12 @@ trace-demo:
 	$(PY) -m repro.traces list; \
 	$(PY) -m repro.traces record --scenario server-churn \
 		--instructions 8000 --out "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces info "$$dir/server-churn.trace"; \
+	$(PY) -m repro.traces info --frames "$$dir/server-churn.trace"; \
 	$(PY) -m repro.traces replay "$$dir/server-churn.trace"; \
 	$(PY) -m repro.traces shard "$$dir/server-churn.trace" \
 		--out-dir "$$dir/shards" --shards 4; \
+	$(PY) -m repro.traces info --frames \
+		"$$dir/shards/server-churn.shard000.trace"; \
 	$(PY) -m repro.traces replay-shards "$$dir/shards"/*.trace --jobs 2; \
 	$(PY) -m repro.traces replay "$$dir/server-churn.trace" --mode hierarchy
 

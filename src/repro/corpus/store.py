@@ -438,7 +438,7 @@ class CorpusStore:
         os.close(fd)
         try:
             with telemetry_span("corpus/record", scenario=spec.name) as tspan:
-                record_spec(spec, temp_path, config=config, compress=True)
+                record_spec(spec, temp_path, config=config)
                 # One columnar decode pass over the fresh recording.
                 # It costs a small fraction of the recording it follows
                 # (live generation dominates a cold build), so a hashing

@@ -18,15 +18,16 @@ Scenario families:
     The functional memory stack: hit path, califormed eviction pressure,
     and a mixed load/store trace replayed through the batched API when
     the hierarchy provides one.
-``trace_record`` / ``trace_file_replay`` / ``trace_multicore_replay``
+``trace_record`` / ``trace_multicore_replay``
     The trace engine (``repro.traces``): recording a registry scenario
-    to an in-memory trace, the streaming bit-identical replay of it, and
-    the 2-core shared-L3 interleaved replay of an antagonist pair.
+    to an in-memory CALTRC02 trace (frame encode included), and the
+    2-core shared-L3 interleaved replay of an antagonist pair.
 ``trace_compress`` / ``trace_decompress_replay``
-    The CALTRC02 codec hot paths: transcoding a recorded v1 trace into
-    compressed frames (delta/run-length tokenisation + zlib), and the
-    streaming replay that inflates and de-tokenises frame by frame —
-    the corpus store's write and read sides.
+    The CALTRC02 codec hot paths: re-encoding a recorded trace into
+    fresh compressed frames (column decode, then delta/run-length
+    tokenisation + zlib), and the streaming bit-identical replay that
+    inflates and de-tokenises frame groups — the corpus store's write
+    and read sides.
 ``loadgen_generate``
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
@@ -233,27 +234,6 @@ def _trace_record(quick: bool) -> Workload:
     return record_once, 1
 
 
-def _trace_file_replay(quick: bool) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_timing
-
-    spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
-    buffer = BytesIO()
-    record_spec(spec, buffer)
-    raw = buffer.getvalue()
-
-    def replay_once() -> None:
-        replay_timing(BytesIO(raw))
-
-    from repro.traces.format import TraceReader
-
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
-    return replay_once, records
-
-
 def _trace_multicore_replay(quick: bool) -> Workload:
     from io import BytesIO
 
@@ -292,7 +272,7 @@ def _trace_compress(quick: bool) -> Workload:
     records = TraceReader(BytesIO(raw)).read_footer()["records"]
 
     def compress_once() -> None:
-        transcode(BytesIO(raw), BytesIO(), version=2)
+        transcode(BytesIO(raw), BytesIO())
 
     return compress_once, records
 
@@ -307,7 +287,7 @@ def _trace_decompress_replay(quick: bool) -> Workload:
 
     spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
     buffer = BytesIO()
-    record_spec(spec, buffer, compress=True)
+    record_spec(spec, buffer)
     raw = buffer.getvalue()
     records = TraceReader(BytesIO(raw)).read_footer()["records"]
 
@@ -336,7 +316,7 @@ def _loadgen_generate(quick: bool) -> Workload:
     spec = compose_spec(load)
 
     def generate_once() -> None:
-        record_spec(spec, BytesIO(), compress=True)
+        record_spec(spec, BytesIO())
 
     return generate_once, 1
 
@@ -505,13 +485,6 @@ SCENARIOS: dict[str, Scenario] = {
             default_warmup=1,
         ),
         Scenario(
-            "trace_file_replay",
-            "trace engine: streaming bit-identical replay of a recorded trace",
-            _trace_file_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
             "trace_multicore_replay",
             "2-core shared-L3 replay of a server-churn + pointer-chase pair",
             _trace_multicore_replay,
@@ -520,7 +493,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "trace_compress",
-            "CALTRC02 encode: delta/run-length tokenise + deflate a v1 trace",
+            "CALTRC02 encode: re-encode a recorded trace into fresh frames",
             _trace_compress,
             default_iterations=10,
             default_warmup=1,

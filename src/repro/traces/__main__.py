@@ -3,8 +3,7 @@
 Subcommands::
 
     list                              show the scenario corpus (and mixes)
-    record  --scenario NAME --out F   record a registry scenario
-                                      (--compress writes CALTRC02)
+    record  --scenario NAME --out F   record a registry scenario (CALTRC02)
     info    TRACE [--frames]          header + footer + compression stats
     replay  TRACE [--mode ...]        single-process replay
     shard   TRACE --out-dir D -n N    split into N per-epoch-range shards
@@ -83,11 +82,10 @@ def _resolve_spec(arguments: argparse.Namespace):
 
 def _cmd_record(arguments: argparse.Namespace) -> int:
     spec = _resolve_spec(arguments)
-    result = record_spec(spec, arguments.out, compress=arguments.compress)
+    result = record_spec(spec, arguments.out)
     events = result.events
     print(
-        f"recorded {spec.name} -> {arguments.out}"
-        f"{' (CALTRC02 compressed)' if arguments.compress else ''}\n"
+        f"recorded {spec.name} -> {arguments.out} (CALTRC02 compressed)\n"
         f"  instructions {result.instructions}  "
         f"alloc events {result.alloc_events}  "
         f"cform instructions {result.cform_instructions}\n"
@@ -281,11 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the spec's trace length",
     )
     record.add_argument("--out", required=True, help="output trace path")
-    record.add_argument(
-        "--compress", action="store_true",
-        help="write the CALTRC02 frame-compressed container "
-        "(replay statistics are identical either way)",
-    )
 
     info = commands.add_parser(
         "info", help="print header/footer/compression summary"

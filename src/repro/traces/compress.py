@@ -1,12 +1,11 @@
-"""CALTRC02: the epoch-framed compressed trace format.
+"""CALTRC02: the epoch-framed compressed trace format — the only one written.
 
-``CALTRC01`` (:mod:`repro.traces.format`) persists one fixed 13-byte
-struct per record — simple, seekable, but cold traces are highly
-redundant: addresses walk in small strides, ``arg`` is almost always the
-access width, and scans/pre-warm loops emit thousands of constant-stride
-touches.  ``CALTRC02`` keeps the container shape (magic, JSON header,
-record stream, JSON footer) but stores the record stream as a sequence of
-independently decodable *frames*:
+Recorded record streams are highly redundant: addresses walk in small
+strides, ``arg`` is almost always the access width, and scans/pre-warm
+loops emit thousands of constant-stride touches.  ``CALTRC02`` keeps the
+shared container shape of :mod:`repro.traces.format` (magic, JSON
+header, record stream, JSON footer) but stores the record stream as a
+sequence of independently decodable *frames*:
 
 * one frame per recorded **epoch** (the sink's shard split points), so
   frame boundaries coincide with the only legal shard boundaries and
@@ -31,14 +30,24 @@ Tokens (``kind`` is the ``EV_*`` record kind, 0..6)::
 
 A run token expands to ``count`` records of the same kind and arg whose
 addresses step by ``stride``; the delta base resets to 0 at every frame
-boundary so frames decode independently.  Encode and decode are both
-fully streaming: the writer buffers at most one frame of records, the
-reader inflates one frame at a time — compression never changes what the
-replayers see, only how many bytes hold it.
+boundary so frames decode independently.  A run token's count is
+never 0 (the encoder only emits runs of :data:`MIN_RUN` or more), so a
+zero count is rejected as corruption.
+
+:class:`CompressedTraceWriter` is the one trace writer: the recorder,
+the sharder and :func:`transcode` (any container in, CALTRC02 out) all
+use it.  Reading is columnar only: :func:`iter_compressed_columns`
+decodes groups of frames into
+:class:`~repro.traces.format.RecordColumns` for
+:meth:`~repro.traces.format.TraceReader.column_batches`, and
+:func:`_iter_frames` is the one walker over the frame headers.  Encode
+and decode are both streaming: the writer buffers at most one frame of
+records, the reader inflates a bounded group of frames at a time.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from typing import BinaryIO, Iterator
@@ -47,12 +56,12 @@ import numpy as np
 
 from repro.telemetry.runtime import active as telemetry_active
 from repro.traces.format import (
+    _HEADER_LEN,
     EV_EPOCH,
-    MAGIC,
     RECORD_SIZE,
+    RecordColumns,
     TraceFormatError,
     TraceReader,
-    TraceWriterBase,
 )
 
 #: The compressed container's magic (same family, next version digit).
@@ -160,73 +169,14 @@ def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
     return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
 
 
-def decode_frame(
-    payload: bytes, record_count: int
-) -> Iterator[tuple[int, int, int]]:
-    """Inflate + de-tokenise one frame; yields exactly ``record_count``."""
-    try:
-        tokens = zlib.decompress(payload)
-    except zlib.error as error:
-        raise TraceFormatError(f"corrupt frame: {error}") from None
-    offset = 0
-    end = len(tokens)
-    previous = 0
-    produced = 0
-    while offset < end:
-        token = tokens[offset]
-        offset += 1
-        kind = token & ~_RUN_FLAG
-        if kind > EV_EPOCH:
-            # Fail before yielding anything downstream: a corrupt kind
-            # byte must not be masked into a plausible record.
-            raise TraceFormatError(
-                f"corrupt frame: invalid record kind byte 0x{token:02X}"
-            )
-        if token & _RUN_FLAG:
-            length, offset = _read_varint(tokens, offset)
-            delta, offset = _read_signed(tokens, offset)
-            stride, offset = _read_signed(tokens, offset)
-            arg, offset = _read_varint(tokens, offset)
-            produced += length
-            if produced > record_count:
-                raise TraceFormatError(
-                    f"corrupt frame: decodes past the {record_count} "
-                    "records its header promised"
-                )
-            address = previous + delta
-            for _ in range(length):
-                yield kind, address, arg
-                address += stride
-            previous = address - stride
-        else:
-            delta, offset = _read_signed(tokens, offset)
-            arg, offset = _read_varint(tokens, offset)
-            produced += 1
-            if produced > record_count:
-                raise TraceFormatError(
-                    f"corrupt frame: decodes past the {record_count} "
-                    "records its header promised"
-                )
-            previous += delta
-            yield kind, previous, arg
-    if produced != record_count:
-        raise TraceFormatError(
-            f"corrupt frame: decoded {produced} records, "
-            f"frame header promised {record_count}"
-        )
-
-
 def decode_frame_columns(payload: bytes, record_count: int):
     """Inflate + de-tokenise one frame into column arrays.
 
-    The columnar twin of :func:`decode_frame`: returns a
-    :class:`~repro.traces.format.RecordColumns` with exactly
-    ``record_count`` rows instead of yielding per-record tuples.  Well-
-    formed frames decode on the vectorized path of
-    :func:`_decode_frames_fast`; anything it declines falls back to the
-    per-token walk of :func:`_decode_frame_columns_tokens`, which raises
-    the same :class:`TraceFormatError` diagnostics as the per-record
-    decoder on corrupt payloads.
+    Returns a :class:`~repro.traces.format.RecordColumns` with exactly
+    ``record_count`` rows.  Well-formed frames decode on the vectorized
+    path of :func:`_decode_frames_fast`; anything it declines falls back
+    to the per-token walk of :func:`_decode_frame_columns_tokens`, which
+    diagnoses corrupt payloads with a :class:`TraceFormatError`.
     """
     try:
         tokens = zlib.decompress(payload)
@@ -241,9 +191,9 @@ def decode_frame_columns(payload: bytes, record_count: int):
 def _decode_frame_columns_tokens(tokens: bytes, record_count: int):
     """Per-token fallback decoder (also the corrupt-frame diagnoser).
 
-    One Python step per token; exactly the validation order of
-    :func:`decode_frame`, so every corrupt payload raises the identical
-    :class:`TraceFormatError` message whichever engine hits it first.
+    One Python step per token, validating in stream order: kind byte,
+    varint fields, zero-length runs, then the record count the frame
+    header promised.
     """
     offset = 0
     end = len(tokens)
@@ -266,6 +216,8 @@ def _decode_frame_columns_tokens(tokens: bytes, record_count: int):
             delta, offset = _read_signed(tokens, offset)
             stride, offset = _read_signed(tokens, offset)
             arg, offset = _read_varint(tokens, offset)
+            if not length:
+                raise TraceFormatError("corrupt frame: zero-length run")
         else:
             length = 1
             delta, offset = _read_signed(tokens, offset)
@@ -301,8 +253,6 @@ def _decode_frame_columns_tokens(tokens: bytes, record_count: int):
             "corrupt frame: address delta exceeds the columnar engine's "
             "int64 range"
         ) from None
-    from repro.traces.format import RecordColumns
-
     return RecordColumns(
         kind=kind_column, address=address_column, arg=arg_column
     )
@@ -322,8 +272,6 @@ def _decode_frames_fast(streams, record_counts):
     only the token-boundary walk (3 or 5 units per token) stays a Python
     loop, one cheap step per token.
     """
-    from repro.traces.format import RecordColumns
-
     data = streams[0] if len(streams) == 1 else b"".join(streams)
     raw = np.frombuffer(data, dtype=np.uint8)
     if raw.size == 0 or (raw[-1] & 0x80):
@@ -400,7 +348,7 @@ def _decode_frames_fast(streams, record_counts):
     counts = np.ones(token_total, dtype=np.int64)
     counts[run_tokens] = values[run_starts + 1]
     if (counts[run_tokens] <= 0).any():
-        return None  # zero-length runs shift the delta base: fall back
+        return None  # a zero-length run is corrupt: the token walk says so
     run_offset = np.zeros(token_total, dtype=np.int64)
     run_offset[run_tokens] = 1
     zigzag = values[starts + 1 + run_offset]
@@ -437,23 +385,43 @@ def _decode_frames_fast(streams, record_counts):
 # -- streaming writer ---------------------------------------------------------
 
 
-class CompressedTraceWriter(TraceWriterBase):
-    """Streaming CALTRC02 writer; drop-in for :class:`TraceWriter`.
+class CompressedTraceWriter:
+    """Streaming CALTRC02 writer: header, epoch frames, footer last.
 
-    Identical interface (``append`` / ``set_footer`` / ``close`` /
-    ``abort`` / context manager / ``record_count``): the recorder, the
-    sharder and :func:`transcode` pick their writer by format version and
-    never look inside.  The target/preamble/abort plumbing is the shared
-    :class:`~repro.traces.format.TraceWriterBase`; this class only owns
-    the frame buffer.
+    ``target`` is a path or a binary file object (e.g. ``io.BytesIO``).
+    Use as a context manager, or call :meth:`close` after the footer::
+
+        with CompressedTraceWriter("x.trace", header) as writer:
+            writer.append(EV_LOAD, 0x1000, 8)
+            ...
+            writer.set_footer({"records": writer.record_count})
+
+    The header is serialised *before* the target is opened, so a
+    non-JSON-able header never leaves an empty file or a leaked
+    descriptor behind.  Exiting the context on an exception calls
+    :meth:`abort` instead of :meth:`close`.
     """
 
-    MAGIC_BYTES = MAGIC_V2
-
     def __init__(self, target: str | BinaryIO, header: dict):
-        super().__init__(target, header)
-        self.frame_count = 0
+        self.header = dict(header)
+        header_bytes = json.dumps(self.header, sort_keys=True).encode("utf-8")
+        if isinstance(target, str):
+            self._file: BinaryIO = open(target, "wb")
+            self._owns_file = True
+        else:
+            self._file = target
+            self._owns_file = False
+        self.record_count = 0
+        self._footer: dict | None = None
         self._buffer: list[tuple[int, int, int]] = []
+        try:
+            self._file.write(MAGIC_V2)
+            self._file.write(_HEADER_LEN.pack(len(header_bytes)))
+            self._file.write(header_bytes)
+        except BaseException:
+            if self._owns_file:
+                self._file.close()
+            raise
 
     def append(self, kind: int, address: int, arg: int) -> None:
         """Append one record; flushes a frame at epoch boundaries."""
@@ -461,6 +429,15 @@ class CompressedTraceWriter(TraceWriterBase):
         self.record_count += 1
         if kind == EV_EPOCH or len(self._buffer) >= MAX_FRAME_RECORDS:
             self._flush_frame()
+
+    def extend(self, kinds, addresses, args) -> None:
+        """Append the rows of three parallel column arrays, in order
+        (the same frames as appending them one at a time)."""
+        append = self.append
+        for kind, address, arg in zip(
+            kinds.tolist(), addresses.tolist(), args.tolist()
+        ):
+            append(kind, address, arg)
 
     def _flush_frame(self) -> None:
         if not self._buffer:
@@ -472,18 +449,40 @@ class CompressedTraceWriter(TraceWriterBase):
             )
         )
         self._file.write(payload)
-        self.frame_count += 1
         self._buffer.clear()
 
-    def _discard_buffer(self) -> None:
-        self._buffer.clear()
+    def set_footer(self, footer: dict) -> None:
+        """Provide the summary written after the end frame."""
+        self._footer = dict(footer)
 
     def close(self) -> None:
         self._flush_frame()
-        footer_bytes = self._footer_bytes()
+        footer = json.dumps(self._footer or {}, sort_keys=True)
+        footer_bytes = footer.encode("utf-8")
         self._file.write(_FRAME_END_HEAD.pack(FRAME_END, len(footer_bytes)))
         self._file.write(footer_bytes)
-        self._finish()
+        self._file.flush()
+        if self._owns_file:
+            self._file.close()
+
+    def abort(self) -> None:
+        """Close without writing an end frame/footer (error cleanup).
+
+        The file is left deliberately invalid-on-read; callers should
+        unlink it.
+        """
+        self._buffer.clear()
+        if self._owns_file:
+            self._file.close()
+
+    def __enter__(self) -> "CompressedTraceWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 # -- streaming reader side (driven by TraceReader) ----------------------------
@@ -507,14 +506,13 @@ def _read_exact(
 def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
     """Walk a CALTRC02 reader's frames: ``(frame_offset, records, payload)``.
 
-    The shared stream layer under both record-tuple and columnar
-    iteration: reads each record frame's header + compressed payload,
-    parses the terminator frame's footer into ``reader.footer``, and
-    attributes truncation/corruption to the offending frame's byte
-    offset.  Payload decoding is the caller's business.
+    The one frame walker, under both columnar decoding and
+    :func:`frame_stats`: reads each record frame's header + compressed
+    payload, parses the terminator frame's footer into
+    ``reader.footer``, and attributes truncation/corruption to the
+    offending frame's byte offset.  Payload decoding is the caller's
+    business.
     """
-    import json
-
     file = reader._file
     path = reader.path
     position = reader.data_offset  # offset of the next frame's type byte
@@ -563,21 +561,6 @@ def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
             )
 
 
-def iter_compressed_records(reader: TraceReader) -> Iterator[tuple[int, int, int]]:
-    """Record iterator for a :class:`TraceReader` positioned after the
-    header of a CALTRC02 file.  Populates ``reader.footer`` when the end
-    frame is reached, mirroring the v1 iterator's contract.  Errors —
-    including frame-payload corruption detected inside
-    :func:`decode_frame` — are located at the offending frame's byte
-    offset in the reader's file."""
-    path = reader.path
-    for frame_start, record_count, payload in _iter_frames(reader):
-        try:
-            yield from decode_frame(payload, record_count)
-        except TraceFormatError as error:
-            raise error.located(path, frame_start) from None
-
-
 #: Records accumulated before one grouped columnar decode.  Epoch frames
 #: are a few hundred records each; decoding a group of them as one
 #: vectorized pass amortises the array-op overhead that would otherwise
@@ -590,8 +573,6 @@ def _decode_group(reader, group):
     into one concatenated :class:`RecordColumns`, or — when the fast
     path declines — per-frame token-walk columns with the standard
     located errors."""
-    from repro.traces.format import RecordColumns
-
     path = reader.path
     streams = []
     for frame_start, _, payload in group:
@@ -635,11 +616,11 @@ def iter_compressed_columns(reader: TraceReader):
     :class:`~repro.traces.format.RecordColumns` per *group* of record
     frames (up to :data:`FRAME_GROUP_RECORDS` records).
 
-    The array-native side of :meth:`TraceReader.column_batches` for
-    CALTRC02 files; same footer and error-location contract as
-    :func:`iter_compressed_records`.  Batch boundaries are a decoding
-    artifact — consumers see the identical concatenated record stream
-    whatever the grouping.
+    The CALTRC02 side of :meth:`TraceReader.column_batches`: populates
+    ``reader.footer`` when the end frame is reached, and locates every
+    error at the offending frame's byte offset in the reader's file.
+    Batch boundaries are a decoding artifact — consumers see the
+    identical concatenated record stream whatever the grouping.
     """
     group: list[tuple[int, int, bytes]] = []
     pending = 0
@@ -659,44 +640,17 @@ def iter_compressed_columns(reader: TraceReader):
 
 def frame_stats(path: str) -> list[tuple[int, int]]:
     """Per-frame ``(records, compressed_payload_bytes)`` of a CALTRC02
-    file, by scanning frame headers and seeking past payloads — no
-    decompression, so ``trace info`` stays cheap on big traces."""
+    file, from the frame walk alone — no decompression, so ``trace
+    info`` stays cheap on big traces."""
     with TraceReader(path) as reader:
         if reader.version != 2:
             raise TraceFormatError(
                 f"{path} is not a compressed (CALTRC02) trace"
             )
-        file = reader._file
-        frames: list[tuple[int, int]] = []
-        position = reader.data_offset
-        while True:
-            frame_start = position
-            type_byte = file.read(1)
-            if not type_byte:
-                raise reader.error(
-                    "compressed trace ends without a terminator frame",
-                    offset=frame_start,
-                )
-            frame_type = type_byte[0]
-            if frame_type == FRAME_RECORDS:
-                head = _read_exact(
-                    file, _FRAME_RECORDS_HEAD.size - 1, "frame header",
-                    path=path, offset=frame_start,
-                )
-                record_count, payload_length = struct.unpack("<II", head)
-                file.seek(payload_length, 1)
-                position = (
-                    frame_start + _FRAME_RECORDS_HEAD.size + payload_length
-                )
-                frames.append((record_count, payload_length))
-            elif frame_type == FRAME_END:
-                return frames
-            else:
-                raise reader.error(
-                    "corrupt compressed trace: unknown frame type "
-                    f"0x{frame_type:02X}",
-                    offset=frame_start,
-                )
+        return [
+            (record_count, len(payload))
+            for _, record_count, payload in _iter_frames(reader)
+        ]
 
 
 def compression_summary(path: str, records: int) -> dict:
@@ -720,25 +674,19 @@ def compression_summary(path: str, records: int) -> dict:
 # -- transcoding --------------------------------------------------------------
 
 
-def transcode(source, target, version: int) -> int:
-    """Stream any-version ``source`` into ``target`` at ``version``.
+def transcode(source, target) -> int:
+    """Stream any-version ``source`` into ``target`` as CALTRC02.
 
     Preserves the header (with ``format`` updated), every record, and the
     footer byte-for-byte in JSON terms, so the canonical identity — and
     every replay statistic — is unchanged.  Returns the record count.
     """
-    from repro.traces.format import trace_writer
-
-    magic = {1: MAGIC, 2: MAGIC_V2}.get(version)
-    if magic is None:
-        raise ValueError(f"unknown trace format version {version}")
     with TraceReader(source) as reader:
         header = dict(reader.header)
         if "format" in header:
-            header["format"] = magic.decode("ascii")
-        with trace_writer(target, header, version=version) as writer:
-            append = writer.append
-            for kind, address, arg in reader.records():
-                append(kind, address, arg)
-            writer.set_footer(reader.read_footer())
+            header["format"] = MAGIC_V2.decode("ascii")
+        with CompressedTraceWriter(target, header) as writer:
+            for batch in reader.column_batches():
+                writer.extend(batch.kind, batch.address, batch.arg)
+            writer.set_footer(reader.footer)
     return writer.record_count

@@ -4,40 +4,42 @@ A trace file is a persisted workload — the exact event stream one
 :func:`repro.workloads.generator.run_trace` run pushed through the cache
 ladder, plus enough metadata to rebuild the run and verify the replay.
 
-Layout (all integers little-endian)::
+Every container shares one preamble and one footer (all integers
+little-endian)::
 
-    magic    8 bytes   b"CALTRC01" (version is part of the magic)
+    magic    8 bytes   b"CALTRC01" or b"CALTRC02" (the version)
     u32      header length in bytes
     JSON     header: scenario spec, cache geometry, format constants
-    records  13-byte packed records, ``<BQI`` = (kind, address, arg)
-    record   terminator: kind=0xFF, address=0, arg=<footer length>
+    ...      the record stream (per version, below)
     JSON     footer: summary statistics of the recorded run
 
-Record kinds are the generator's ``EV_*`` event stream (re-exported
-here): LOAD/STORE are single cache touches (``arg`` = access size in
-bytes, informational for timing replay, load/store width for hierarchy
-replay); CFORM is one (de)allocation-side califorming that expands to
-``arg`` line touches at ``address + i*64``; ALLOC/FREE carry the carved
-object size and touch nothing; WARM marks the end-of-warmup counter
-reset; EPOCH markers sit between bursts and are the only legal shard
-split points.
+Records are ``(kind, address, arg)`` triples.  Their kinds are the
+generator's ``EV_*`` event stream (re-exported here): LOAD/STORE are
+single cache touches (``arg`` = access size in bytes, informational for
+timing replay, load/store width for hierarchy replay); CFORM is one
+(de)allocation-side califorming that expands to ``arg`` line touches at
+``address + i*64``; ALLOC/FREE carry the carved object size and touch
+nothing; WARM marks the end-of-warmup counter reset; EPOCH markers sit
+between bursts and are the only legal shard split points.
 
-Both :class:`TraceWriter` and :class:`TraceReader` stream: the writer
-buffers a bounded number of packed records before flushing, the reader
-iterates the file in fixed-size chunks — neither ever holds a full trace
-in memory, so traces are bounded by disk, not by RAM.
+Two record-stream layouts exist:
 
-Two container versions share this module's reader:
-
-* ``CALTRC01`` — the layout above (one fixed 13-byte struct per record);
-* ``CALTRC02`` — the same preamble and footer semantics, but the record
-  stream is stored as per-epoch compressed frames (delta/run-length
-  tokens + zlib; see :mod:`repro.traces.compress`).
+* ``CALTRC02`` — per-epoch compressed frames (delta/run-length tokens +
+  zlib; see :mod:`repro.traces.compress`).  It is the only container
+  anything writes: :class:`~repro.traces.compress.CompressedTraceWriter`
+  serves the recorder, the sharder and
+  :func:`~repro.traces.compress.transcode`.
+* ``CALTRC01`` — one fixed 13-byte ``<BQI`` struct per record, closed by
+  a terminator record (kind=0xFF, address=0, arg=<footer length>).  It
+  is still read, so existing v1 files replay, and it is the *canonical*
+  serialisation the corpus hashes
+  (:func:`repro.corpus.store.canonical_digest`), so a digest does not
+  depend on the container an object was written in.
 
 :class:`TraceReader` detects the version from the magic and yields the
-identical ``(kind, address, arg)`` stream either way, so every consumer
-(replay, shard, multi-core, info) is version-agnostic; writers are
-chosen per version through :func:`trace_writer`.
+record stream one way only: :meth:`TraceReader.column_batches`, bounded
+:class:`RecordColumns` batches (one frame group, or one v1 read chunk),
+so no consumer ever holds a full trace in memory.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ class RecordColumns:
     addresses are far below 2**63; signed width keeps delta/cumsum
     arithmetic and Python-int round-trips exact).  Row ``i`` of the three
     arrays is record ``i`` of the batch, in stream order — a batch holds
-    one CALTRC02 frame or one CALTRC01 read chunk, so iterating batches
-    yields the identical record stream :meth:`TraceReader.records` would.
+    one group of CALTRC02 frames or one CALTRC01 read chunk, so the
+    concatenated batches are the file's record stream.
     """
 
     kind: np.ndarray
@@ -156,133 +158,14 @@ class RecordColumns:
         return len(self.kind)
 
 
-class TraceWriterBase:
-    """Shared plumbing of the streaming trace writers.
-
-    Handles everything that is identical across container versions —
-    path-vs-file-object ownership, the ``magic + header-length + header
-    JSON`` preamble (serialised *before* opening, so a non-JSON-able
-    header never leaves an empty file or a leaked descriptor behind),
-    footer stashing, :meth:`abort` and the context-manager protocol.
-    Subclasses define :attr:`MAGIC_BYTES`, the record buffer
-    (:meth:`append` / :meth:`_discard_buffer`) and :meth:`close`.
-    """
-
-    MAGIC_BYTES: bytes
-
-    def __init__(self, target: str | BinaryIO, header: dict):
-        self.header = dict(header)
-        header_bytes = json.dumps(self.header, sort_keys=True).encode("utf-8")
-        if isinstance(target, str):
-            self._file: BinaryIO = open(target, "wb")
-            self._owns_file = True
-        else:
-            self._file = target
-            self._owns_file = False
-        self.record_count = 0
-        self._footer: dict | None = None
-        try:
-            self._file.write(self.MAGIC_BYTES)
-            self._file.write(_HEADER_LEN.pack(len(header_bytes)))
-            self._file.write(header_bytes)
-        except BaseException:
-            if self._owns_file:
-                self._file.close()
-            raise
-
-    def set_footer(self, footer: dict) -> None:
-        """Provide the summary written after the terminator."""
-        self._footer = dict(footer)
-
-    def _footer_bytes(self) -> bytes:
-        return json.dumps(self._footer or {}, sort_keys=True).encode("utf-8")
-
-    def _discard_buffer(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def abort(self) -> None:
-        """Close without writing a terminator/footer (error cleanup).
-
-        The file is left deliberately invalid-on-read; callers should
-        unlink it.
-        """
-        self._discard_buffer()
-        if self._owns_file:
-            self._file.close()
-
-    def _finish(self) -> None:
-        """Flush and release the target (the tail of every close())."""
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-class TraceWriter(TraceWriterBase):
-    """Streaming CALTRC01 writer: header, packed records, footer last.
-
-    ``target`` is a path or a binary file object (e.g. ``io.BytesIO``).
-    Use as a context manager, or call :meth:`close` with the footer::
-
-        with TraceWriter("x.trace", header) as writer:
-            writer.append(EV_LOAD, 0x1000, 8)
-            ...
-            writer.set_footer({"records": writer.record_count})
-    """
-
-    MAGIC_BYTES = MAGIC
-
-    #: Packed records buffered before a file write (~64 KB).
-    FLUSH_RECORDS = 5000
-
-    def __init__(self, target: str | BinaryIO, header: dict):
-        super().__init__(target, header)
-        self._buffer: list[bytes] = []
-        self._pack = RECORD.pack
-
-    def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record.  This is the generator sink's hot call."""
-        self._buffer.append(self._pack(kind, address, arg))
-        self.record_count += 1
-        if len(self._buffer) >= self.FLUSH_RECORDS:
-            self._file.write(b"".join(self._buffer))
-            self._buffer.clear()
-
-    def _discard_buffer(self) -> None:
-        self._buffer.clear()
-
-    def close(self) -> None:
-        footer_bytes = self._footer_bytes()
-        self._buffer.append(self._pack(EV_END, 0, len(footer_bytes)))
-        self._file.write(b"".join(self._buffer))
-        self._buffer.clear()
-        self._file.write(footer_bytes)
-        self._finish()
-
-
 class TraceReader:
     """Streaming reader over a trace file or binary file object.
 
-    ``header`` is available immediately; :meth:`records` yields
-    ``(kind, address, arg)`` tuples without materialising the trace;
+    ``header`` is available immediately; :meth:`column_batches` yields
+    the records as column batches without materialising the trace;
     ``footer`` is populated once iteration reaches the terminator (or by
     :meth:`read_footer`, which drains the stream).
     """
-
-    #: Bytes per read; chosen as a multiple of the record size so chunk
-    #: boundaries never split a record.
-    CHUNK_RECORDS = 8192
 
     def __init__(self, source: str | BinaryIO):
         if isinstance(source, str):
@@ -342,88 +225,40 @@ class TraceReader:
         #: record iterators count from here so errors are attributable.
         self.data_offset = len(MAGIC) + _HEADER_LEN.size + header_len
         self.footer: dict | None = None
-        self._records_iter: Iterator[tuple[int, int, int]] | None = None
+        self._batches: Iterator[RecordColumns] | None = None
 
     def error(self, detail: str, offset: int | None = None) -> TraceFormatError:
         """A :class:`TraceFormatError` located in this reader's file."""
         return TraceFormatError(detail, path=self.path, offset=offset)
 
-    def records(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(kind, address, arg)`` until the terminator record.
-
-        Leaves :attr:`footer` populated.  Raises
-        :class:`TraceFormatError` if the file ends without a terminator
-        (a crashed or still-recording writer).
-
-        The stream is single-pass: repeated calls return the *same*
-        iterator (so a partially consumed iteration can be resumed, and
-        :meth:`read_footer` drains from wherever iteration stopped
-        without losing the chunk buffered by the suspended generator).
-        """
-        if self._records_iter is None:
-            if self.version == 2:
-                from repro.traces.compress import iter_compressed_records
-
-                self._records_iter = iter_compressed_records(self)
-            else:
-                self._records_iter = self._iter_records()
-        return self._records_iter
-
-    def _iter_records(self) -> Iterator[tuple[int, int, int]]:
-        chunk_bytes = self.CHUNK_RECORDS * RECORD_SIZE
-        unpack_from = RECORD.unpack_from
-        pending = b""
-        position = self.data_offset  # file offset of the next record
-        while True:
-            chunk = pending + self._file.read(chunk_bytes)
-            if not chunk:
-                raise self.error(
-                    "trace ends without a terminator record", offset=position
-                )
-            usable = len(chunk) - (len(chunk) % RECORD_SIZE)
-            for offset in range(0, usable, RECORD_SIZE):
-                kind, address, arg = unpack_from(chunk, offset)
-                if kind == EV_END:
-                    tail = chunk[offset + RECORD_SIZE :]
-                    self._read_footer_bytes(
-                        arg, tail, position + offset + RECORD_SIZE
-                    )
-                    return
-                yield kind, address, arg
-            pending = chunk[usable:]
-            position += usable
-            if usable == 0:
-                raise self.error("truncated trace record", offset=position)
-
-    #: Records per column batch on the v1 path; larger than the tuple
-    #: iterator's chunk because one numpy batch amortises per-batch cost
-    #: over more records (64 Ki records ≈ 832 KB resident, still bounded).
+    #: Records per column batch on the v1 path (64 Ki records ≈ 832 KB
+    #: resident, so a batch stays bounded whatever the trace length).
     COLUMN_CHUNK_RECORDS = 1 << 16
 
     def column_batches(self) -> Iterator[RecordColumns]:
         """Yield the record stream as :class:`RecordColumns` batches.
 
-        The columnar twin of :meth:`records`: the concatenation of the
-        yielded batches is exactly the ``(kind, address, arg)`` stream,
-        and :attr:`footer` is populated once the terminator is reached —
-        but no per-record tuples are ever built.  v2 (CALTRC02) batches
-        are one epoch frame each, decoded straight from the token stream
+        The concatenation of the yielded batches is exactly the file's
+        ``(kind, address, arg)`` stream, and :attr:`footer` is populated
+        once the terminator is reached.  v2 (CALTRC02) batches are groups
+        of epoch frames decoded straight from the token stream
         (:func:`repro.traces.compress.iter_compressed_columns`); v1
         batches are fixed-size read chunks lifted via ``np.frombuffer``.
+        Either way a record of unknown kind raises a located
+        :class:`TraceFormatError`.
 
-        Like :meth:`records`, the stream is single-pass; mixing the two
-        iteration styles on one reader is not supported.
+        The stream is single-pass: repeated calls return the *same*
+        iterator, so :meth:`read_footer` resumes a partial iteration
+        instead of re-reading the file.
         """
-        if self._records_iter is not None:
-            raise RuntimeError(
-                "column_batches() cannot resume a reader already being "
-                "iterated with records()"
-            )
-        if self.version == 2:
-            from repro.traces.compress import iter_compressed_columns
+        if self._batches is None:
+            if self.version == 2:
+                from repro.traces.compress import iter_compressed_columns
 
-            return iter_compressed_columns(self)
-        return self._iter_columns_v1()
+                self._batches = iter_compressed_columns(self)
+            else:
+                self._batches = self._iter_columns_v1()
+        return self._batches
 
     def _iter_columns_v1(self) -> Iterator[RecordColumns]:
         dtype = RECORD_DTYPE
@@ -445,6 +280,13 @@ class TraceReader:
             stop = int(terminators[0]) if terminators.size else len(rows)
             if stop:
                 batch = rows[:stop]
+                unknown = np.flatnonzero(batch["kind"] > EV_EPOCH)
+                if unknown.size:
+                    index = int(unknown[0])
+                    raise self.error(
+                        f"unknown record kind {int(batch['kind'][index])}",
+                        offset=position + index * RECORD_SIZE,
+                    )
                 addresses = batch["address"]
                 if bool((addresses >> np.uint64(63)).any()):
                     raise self.error(
@@ -487,11 +329,11 @@ class TraceReader:
     def read_footer(self) -> dict:
         """Drain remaining records and return the footer summary.
 
-        Safe mid-iteration: it continues the shared :meth:`records`
-        iterator rather than re-reading the file.
+        Safe mid-iteration: it continues the shared
+        :meth:`column_batches` iterator rather than re-reading the file.
         """
         if self.footer is None:
-            for _ in self.records():
+            for _ in self.column_batches():
                 pass
         if self.footer is None:
             raise TraceFormatError("trace ends without a terminator record")
@@ -506,23 +348,6 @@ class TraceReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def trace_writer(target: str | BinaryIO, header: dict, version: int = 1):
-    """Open a streaming writer for the requested container version.
-
-    Version 1 is the fixed-record :class:`TraceWriter`; version 2 the
-    frame-compressed :class:`~repro.traces.compress.CompressedTraceWriter`.
-    Both expose the same interface, so callers (recorder, sharder,
-    transcoder) stay version-agnostic.
-    """
-    if version == 1:
-        return TraceWriter(target, header)
-    if version == 2:
-        from repro.traces.compress import CompressedTraceWriter
-
-        return CompressedTraceWriter(target, header)
-    raise ValueError(f"unknown trace format version {version}")
 
 
 def read_header(path: str) -> dict:

@@ -3,10 +3,10 @@
 The generator owns the workload logic; the recorder only listens.  A
 :class:`RecordingSink` is handed to :func:`run_trace` as its ``sink`` —
 it appends one record per cache touch / allocation event to a streaming
-:class:`~repro.traces.format.TraceWriter` and drops an EPOCH marker
-every ``epoch_bursts`` bursts (the shard split points).  The sink never
-consumes the generator's RNG, so a recorded run is bit-identical to an
-unrecorded one — :func:`record_spec` returns the live
+:class:`~repro.traces.compress.CompressedTraceWriter` and drops an EPOCH
+marker every ``epoch_bursts`` bursts (the shard split points).  The
+sink never consumes the generator's RNG, so a recorded run is
+bit-identical to an unrecorded one — :func:`record_spec` returns the live
 :class:`~repro.workloads.generator.RunResult` alongside the trace it
 wrote, and the footer stores that result's statistics for replay-time
 verification.
@@ -17,18 +17,18 @@ from __future__ import annotations
 import os
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
-from repro.traces.compress import MAGIC_V2
-from repro.traces.format import EV_EPOCH, MAGIC, trace_writer
+from repro.traces.compress import MAGIC_V2, CompressedTraceWriter
+from repro.traces.format import EV_EPOCH
 from repro.traces.registry import SPEC_VERSION, TraceScenarioSpec
 from repro.workloads.generator import RunResult, run_trace
 
 
 class RecordingSink:
-    """The generator-side tap feeding a :class:`TraceWriter`."""
+    """The generator-side tap feeding a :class:`CompressedTraceWriter`."""
 
     __slots__ = ("append", "_writer", "_epoch_bursts", "_bursts", "_epochs")
 
-    def __init__(self, writer: TraceWriter, epoch_bursts: int):
+    def __init__(self, writer: CompressedTraceWriter, epoch_bursts: int):
         self._writer = writer
         #: Bound method exposed directly so the generator's hot wrappers
         #: call the writer with no intermediate frame.
@@ -104,25 +104,22 @@ def record_spec(
     spec: TraceScenarioSpec,
     target,
     config: HierarchyConfig = WESTMERE,
-    compress: bool = False,
 ) -> RunResult:
     """Record one registry scenario to ``target`` (path or file object).
 
     Runs the spec's driver live with the recording sink attached and
     returns the live :class:`RunResult`; the trace's footer carries the
     result's statistics so any replay can verify itself against the
-    recording.  ``compress`` selects the CALTRC02 frame-compressed
-    container (the logical record stream — and hence every replay
-    statistic — is identical either way).
+    recording.  The trace is written as CALTRC02.
     """
     header = {
-        "format": (MAGIC_V2 if compress else MAGIC).decode("ascii"),
+        "format": MAGIC_V2.decode("ascii"),
         "spec_version": SPEC_VERSION,
         "spec": spec.to_dict(),
         "geometry": _geometry_dict(config),
     }
     try:
-        return _record_to_writer(spec, target, config, header, compress)
+        return _record_to_writer(spec, target, config, header)
     except BaseException:
         # A failed/interrupted recording must not leave a terminator-less
         # file behind for a later replay glob to choke on.
@@ -134,8 +131,8 @@ def record_spec(
         raise
 
 
-def _record_to_writer(spec, target, config, header, compress) -> RunResult:
-    with trace_writer(target, header, version=2 if compress else 1) as writer:
+def _record_to_writer(spec, target, config, header) -> RunResult:
+    with CompressedTraceWriter(target, header) as writer:
         sink = RecordingSink(writer, spec.epoch_bursts)
         result = _driver_for(spec)(
             spec.profile,

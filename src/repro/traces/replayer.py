@@ -72,13 +72,13 @@ from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
+from repro.traces.compress import MAGIC_V2, CompressedTraceWriter
 from repro.traces.format import (
     EV_EPOCH,
     KIND_NAMES,
     TraceFormatError,
     TraceIntegrityError,
     TraceReader,
-    trace_writer,
 )
 from repro.traces.registry import TraceScenarioSpec
 from repro.workloads.generator import RunResult
@@ -346,9 +346,8 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
     FREE/ALLOC/CFORM cluster.  Each shard is itself a valid trace file
     carrying the original header plus a ``shard`` stanza; shard footers
     hold per-shard record counts (events are recomputed at replay — a
-    cold ladder per shard, SimPoint-style).  Shards inherit the source's
-    container version, so splitting a compressed (CALTRC02) trace yields
-    compressed shards.
+    cold ladder per shard, SimPoint-style).  Shards are written as
+    CALTRC02 whatever the source's container.
     """
     if shards <= 0:
         raise ValueError("shards must be positive")
@@ -361,35 +360,50 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
     base = os.path.splitext(os.path.basename(path))[0]
 
     reader = TraceReader(path)
-    writers: list = []
-    counts: list[dict] = []
+    writers: list[CompressedTraceWriter] = []
+    counts = np.zeros((shards, len(KIND_NAMES)), dtype=np.int64)
     paths: list[str] = []
     completed = False
     try:
         for index in range(shards):
             header = dict(reader.header)
+            if "format" in header:
+                header["format"] = MAGIC_V2.decode("ascii")
             header["shard"] = {"index": index, "of": shards}
             shard_path = os.path.join(out_dir, f"{base}.shard{index:03d}.trace")
-            writers.append(trace_writer(shard_path, header, reader.version))
-            counts.append({KIND_NAMES[k]: 0 for k in KIND_NAMES})
+            writers.append(CompressedTraceWriter(shard_path, header))
             paths.append(shard_path)
-        segment = 0
-        for kind, address, arg in reader.records():
-            name = KIND_NAMES.get(kind)
-            if name is None:
-                raise TraceFormatError(f"unknown record kind {kind}")
-            shard_index = min(segment // per_shard, shards - 1)
-            writers[shard_index].append(kind, address, arg)
-            counts[shard_index][name] += 1
-            if kind == EV_EPOCH:
-                segment += 1
+        segment = 0  # EPOCH markers seen before the current batch
+        for batch in reader.column_batches():
+            # A record belongs to the segment its EPOCH marker closes.
+            epochs = batch.kind == EV_EPOCH
+            segments = segment + np.cumsum(epochs) - epochs
+            segment += int(epochs.sum())
+            owners = np.minimum(segments // per_shard, shards - 1)
+            # Owners never decrease, so each shard's rows are one slice.
+            bounds = np.searchsorted(owners, np.arange(shards + 1))
+            for index in np.unique(owners).tolist():
+                start, stop = bounds[index], bounds[index + 1]
+                kinds = batch.kind[start:stop]
+                tally = np.bincount(kinds, minlength=len(KIND_NAMES))
+                if tally.size > len(KIND_NAMES):
+                    raise TraceFormatError(
+                        f"unknown record kind {tally.size - 1}"
+                    )
+                counts[index] += tally
+                writers[index].extend(
+                    kinds, batch.address[start:stop], batch.arg[start:stop]
+                )
         for index, writer in enumerate(writers):
             writer.set_footer(
                 {
                     "kind": "shard",
                     "shard": {"index": index, "of": shards},
                     "records": writer.record_count,
-                    "counts": counts[index],
+                    "counts": {
+                        KIND_NAMES[kind]: int(counts[index, kind])
+                        for kind in KIND_NAMES
+                    },
                     "source_records": footer.get("records"),
                 }
             )

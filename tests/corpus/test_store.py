@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+# The per-record trace oracle of tests/traces (tests/ is on sys.path).
+from traces import oracle
+
 from repro.corpus.store import (
     CorpusStore,
     canonical_digest,
@@ -93,11 +96,8 @@ class TestEnsure:
 
 class TestCanonicalDigest:
     def test_v1_and_v2_twins_hash_identically(self, store, tmp_path):
-        from repro.traces.recorder import record_spec
-
-        v1 = str(tmp_path / "twin.v1.trace")
-        record_spec(_spec(), v1)
         resolved = store.ensure(_spec())  # stored as CALTRC02
+        v1 = oracle.write_v1(resolved.path, str(tmp_path / "twin.v1.trace"))
         assert canonical_digest(v1)[:2] == canonical_digest(resolved.path)[:2]
 
     def test_v1_digest_is_the_file_hash(self, tmp_path):
@@ -105,8 +105,9 @@ class TestCanonicalDigest:
 
         from repro.traces.recorder import record_spec
 
-        path = str(tmp_path / "plain.v1.trace")
-        record_spec(_spec(), path)
+        recorded = str(tmp_path / "plain.v2.trace")
+        record_spec(_spec(), recorded)
+        path = oracle.write_v1(recorded, str(tmp_path / "plain.v1.trace"))
         digest, raw_bytes, _footer = canonical_digest(path)
         with open(path, "rb") as handle:
             raw = handle.read()

@@ -45,10 +45,21 @@ def make(tenants=3, duration_s=0.2, warmup_s=0.0, **overrides) -> LoadScenario:
     return LoadScenario(**base)
 
 
-def record_bytes(load: LoadScenario, compress=False) -> bytes:
+def record_bytes(load: LoadScenario) -> bytes:
     buffer = BytesIO()
-    record_spec(compose_spec(load), buffer, compress=compress)
+    record_spec(compose_spec(load), buffer)
     return buffer.getvalue()
+
+
+def trace_records(raw: bytes) -> list[tuple[int, int, int]]:
+    """The ``(kind, address, arg)`` records of an in-memory trace."""
+    return [
+        row
+        for batch in TraceReader(BytesIO(raw)).column_batches()
+        for row in zip(
+            batch.kind.tolist(), batch.address.tolist(), batch.arg.tolist()
+        )
+    ]
 
 
 class TestApportionment:
@@ -111,7 +122,7 @@ class TestMerge:
             if times
         }
         bins = set()
-        for kind, address, arg in TraceReader(BytesIO(raw)).records():
+        for kind, address, arg in trace_records(raw):
             if kind in MEMORY_EVENTS:
                 bins.add(address >> 33)
                 if kind == EV_CFORM:  # expansion stays inside the bin
@@ -143,7 +154,7 @@ class TestSingleTenantEquivalence:
         ]
         composed = [
             record
-            for record in TraceReader(BytesIO(record_bytes(load))).records()
+            for record in trace_records(record_bytes(load))
             if record[0] not in (EV_EPOCH, EV_WARM)
         ]
         assert composed == expected
@@ -154,8 +165,8 @@ class TestDeterminismAndReplay:
         from repro.corpus.store import canonical_digest
 
         load = load_scenarios()["uniform-churn"].scaled(0.2)
-        first = record_bytes(load, compress=True)
-        second = record_bytes(load, compress=True)
+        first = record_bytes(load)
+        second = record_bytes(load)
         assert first == second
         assert canonical_digest(BytesIO(first)) == canonical_digest(
             BytesIO(second)

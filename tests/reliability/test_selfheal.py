@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import zlib
 
 import pytest
 
@@ -24,7 +25,11 @@ from repro.reliability.matrix import (
     _corpus_case,
     _matrix_spec,
 )
-from repro.traces.compress import CompressedTraceWriter
+from repro.traces.compress import (
+    _FRAME_RECORDS_HEAD,
+    FRAME_RECORDS,
+    CompressedTraceWriter,
+)
 from repro.traces.format import EV_LOAD, read_header
 from repro.corpus import __main__ as corpus_cli
 
@@ -188,6 +193,45 @@ class TestOutOfRangeRecords:
         problems, actions = CorpusStore(copy).repair()
         assert len(problems) == 1
         assert "restored byte-identically" in actions[0]
+
+
+class TestZeroLengthRun:
+    """A frame whose run token has count 0 (the encoder never writes
+    one) is corrupt: the digest reports it, and the store quarantines
+    the object and re-records it instead of crashing."""
+
+    # Two plain records, then a run token ``08 00 0a 06 08`` of count 0.
+    TOKENS = bytes.fromhex("006408" "000208" "08000a0608")
+
+    @pytest.fixture()
+    def damaged(self, template, tmp_path):
+        root, digest = template
+        copy = str(tmp_path / "corpus")
+        shutil.copytree(root, copy)
+        path = CorpusStore(copy).object_path(digest)
+        payload = zlib.compress(self.TOKENS)
+        with CompressedTraceWriter(path, read_header(path)) as writer:
+            writer._file.write(
+                _FRAME_RECORDS_HEAD.pack(FRAME_RECORDS, 2, len(payload))
+            )
+            writer._file.write(payload)
+            writer.set_footer({"records": 2})
+        return copy, digest
+
+    def test_ensure_quarantines_and_re_records(self, damaged):
+        copy, digest = damaged
+        store = CorpusStore(copy)
+        resolved = store.ensure(_spec())
+        assert resolved.built
+        assert resolved.entry.digest == digest
+        assert store.healed == 1
+        assert f"{digest}.trace" in os.listdir(store.quarantine_dir)
+        assert CorpusStore(copy).verify() == []
+
+    def test_verify_reports_without_raising(self, damaged):
+        copy, _digest = damaged
+        (problem,) = CorpusStore(copy).verify()
+        assert "zero-length run" in problem
 
 
 class TestManifestHeals:

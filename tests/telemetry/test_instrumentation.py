@@ -24,7 +24,7 @@ def exported(handle):
 def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "server-churn.trace")
-    record_spec(spec, trace, compress=True)
+    record_spec(spec, trace)
 
     handle = runtime.configure(str(tmp_path / "tel"))
     replay_timing(trace)
@@ -117,7 +117,7 @@ def test_corpus_verify_counts_outcomes(tmp_path):
 def test_disabled_run_writes_nothing(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
-    record_spec(spec, trace, compress=True)
+    record_spec(spec, trace)
     assert runtime.active() is None
     replay_timing(trace)  # must not create any sink
     assert not os.path.exists(str(tmp_path / "tel"))

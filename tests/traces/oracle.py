@@ -18,9 +18,14 @@ The semantics pinned here are the replayer's documented ones:
   and core ``c`` presents its addresses offset by ``c << 44`` (disjoint
   physical spaces for co-runners recorded in one synthetic space).
 
-:func:`canonical_digest_records` is the per-record twin of
-:func:`repro.corpus.store.canonical_digest`: the canonical CALTRC01
-stream packed one ``struct`` record at a time.
+:func:`iter_records` is the per-record reference decoder the
+columnar reader (:meth:`TraceReader.column_batches`) is compared
+against: the CALTRC01 struct loop, and :func:`decode_frame` for each
+CALTRC02 frame.  :func:`encode_v1` is the CALTRC01 serialisation one
+``struct`` record at a time — the canonical form the corpus hashes, and
+the way the tests obtain v1 files now that nothing in ``src/`` writes
+them; :func:`canonical_digest_records` is the per-record twin of
+:func:`repro.corpus.store.canonical_digest` built on it.
 """
 
 from __future__ import annotations
@@ -28,12 +33,19 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import zlib
 
 from cache_oracle import MultiCoreHierarchy, TagOnlyCache
 
 from repro.core.cform import CformRequest
 from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.hierarchy import MemoryHierarchy, amat_cycles
+from repro.traces.compress import (
+    _RUN_FLAG,
+    _iter_frames,
+    _read_signed,
+    _read_varint,
+)
 from repro.traces.format import (
     EV_ALLOC,
     EV_CFORM,
@@ -44,6 +56,7 @@ from repro.traces.format import (
     EV_WARM,
     MAGIC,
     RECORD,
+    RECORD_SIZE,
     TraceFormatError,
     TraceReader,
     read_header,
@@ -62,6 +75,162 @@ HIERARCHY_BATCH_OPS = 2048
 
 #: Per-core physical-address stride of shared-L3 replay.
 CORE_ADDRESS_STRIDE = 1 << 44
+
+#: Records per read of the CALTRC01 struct loop (a multiple of the
+#: record size, so chunk boundaries never split a record).
+V1_CHUNK_RECORDS = 8192
+
+
+# -- per-record decode --------------------------------------------------------
+
+
+def decode_frame(payload: bytes, record_count: int):
+    """Inflate + de-tokenise one CALTRC02 frame; yields exactly
+    ``record_count`` ``(kind, address, arg)`` tuples, in Python ints."""
+    try:
+        tokens = zlib.decompress(payload)
+    except zlib.error as error:
+        raise TraceFormatError(f"corrupt frame: {error}") from None
+    offset = 0
+    end = len(tokens)
+    previous = 0
+    produced = 0
+    while offset < end:
+        token = tokens[offset]
+        offset += 1
+        kind = token & ~_RUN_FLAG
+        if kind > EV_EPOCH:
+            # Fail before yielding anything downstream: a corrupt kind
+            # byte must not be masked into a plausible record.
+            raise TraceFormatError(
+                f"corrupt frame: invalid record kind byte 0x{token:02X}"
+            )
+        if token & _RUN_FLAG:
+            length, offset = _read_varint(tokens, offset)
+            delta, offset = _read_signed(tokens, offset)
+            stride, offset = _read_signed(tokens, offset)
+            arg, offset = _read_varint(tokens, offset)
+            if not length:
+                raise TraceFormatError("corrupt frame: zero-length run")
+            produced += length
+            if produced > record_count:
+                raise TraceFormatError(
+                    f"corrupt frame: decodes past the {record_count} "
+                    "records its header promised"
+                )
+            address = previous + delta
+            for _ in range(length):
+                yield kind, address, arg
+                address += stride
+            previous = address - stride
+        else:
+            delta, offset = _read_signed(tokens, offset)
+            arg, offset = _read_varint(tokens, offset)
+            produced += 1
+            if produced > record_count:
+                raise TraceFormatError(
+                    f"corrupt frame: decodes past the {record_count} "
+                    "records its header promised"
+                )
+            previous += delta
+            yield kind, previous, arg
+    if produced != record_count:
+        raise TraceFormatError(
+            f"corrupt frame: decoded {produced} records, "
+            f"frame header promised {record_count}"
+        )
+
+
+def _iter_records_v1(reader: TraceReader):
+    chunk_bytes = V1_CHUNK_RECORDS * RECORD_SIZE
+    unpack_from = RECORD.unpack_from
+    pending = b""
+    position = reader.data_offset  # file offset of the next record
+    while True:
+        chunk = pending + reader._file.read(chunk_bytes)
+        if not chunk:
+            raise reader.error(
+                "trace ends without a terminator record", offset=position
+            )
+        usable = len(chunk) - (len(chunk) % RECORD_SIZE)
+        for offset in range(0, usable, RECORD_SIZE):
+            kind, address, arg = unpack_from(chunk, offset)
+            if kind == EV_END:
+                tail = chunk[offset + RECORD_SIZE :]
+                reader._read_footer_bytes(
+                    arg, tail, position + offset + RECORD_SIZE
+                )
+                return
+            yield kind, address, arg
+        pending = chunk[usable:]
+        position += usable
+        if usable == 0:
+            raise reader.error("truncated trace record", offset=position)
+
+
+def iter_records(reader: TraceReader):
+    """Yield a reader's ``(kind, address, arg)`` records one at a time
+    and populate ``reader.footer`` (the reader must be fresh: this
+    iterates the file, not :meth:`TraceReader.column_batches`)."""
+    if reader.version == 1:
+        yield from _iter_records_v1(reader)
+        return
+    for frame_start, record_count, payload in _iter_frames(reader):
+        try:
+            yield from decode_frame(payload, record_count)
+        except TraceFormatError as error:
+            raise error.located(reader.path, frame_start) from None
+
+
+def rows(batches) -> list[tuple[int, int, int]]:
+    """The ``(kind, address, arg)`` tuples of column batches, in order."""
+    return [
+        row
+        for batch in batches
+        for row in zip(
+            batch.kind.tolist(), batch.address.tolist(), batch.arg.tolist()
+        )
+    ]
+
+
+def read_records(source) -> list[tuple[int, int, int]]:
+    """Every record of a trace file or buffer, through :func:`iter_records`."""
+    with TraceReader(source) as reader:
+        return list(iter_records(reader))
+
+
+# -- CALTRC01 encode ----------------------------------------------------------
+
+
+def encode_v1(header: dict, records, footer: dict) -> bytes:
+    """A CALTRC01 file: header, one ``RECORD`` struct per record, the
+    terminator, then the footer."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
+    parts.extend(RECORD.pack(*record) for record in records)
+    parts.append(RECORD.pack(EV_END, 0, len(footer_bytes)))
+    parts.append(footer_bytes)
+    return b"".join(parts)
+
+
+def canonical_v1(source) -> tuple[bytes, dict]:
+    """The canonical CALTRC01 bytes of any trace — its records and footer
+    re-serialised by :func:`encode_v1`, header ``format`` normalised —
+    and its footer."""
+    with TraceReader(source) as reader:
+        header = dict(reader.header)
+        if "format" in header:
+            header["format"] = MAGIC.decode("ascii")
+        records = list(iter_records(reader))
+        return encode_v1(header, records, reader.footer), reader.footer
+
+
+def write_v1(source, target: str) -> str:
+    """Write the CALTRC01 twin of ``source`` to the path ``target``."""
+    with open(target, "wb") as handle:
+        handle.write(canonical_v1(source)[0])
+    return target
 
 
 class _Tally:
@@ -138,7 +307,7 @@ def timing_stats(source, honor_warm: bool = True) -> ShardStats:
     """Timing replay through a cold per-access ``TagOnlyCache`` ladder."""
     with TraceReader(source) as reader:
         config = _config_from_header(reader.header)
-        stats = ladder_stats(reader.records(), config, honor_warm)
+        stats = ladder_stats(iter_records(reader), config, honor_warm)
         reader.read_footer()
     return stats
 
@@ -150,7 +319,7 @@ def hierarchy_stats(source, honor_warm: bool = True) -> ShardStats:
         ops: list[tuple] = []
         violations = 0
         tally = _Tally()
-        for kind, address, arg in reader.records():
+        for kind, address, arg in iter_records(reader):
             if kind == EV_WARM and honor_warm:
                 violations += hierarchy.replay_trace(ops)
                 ops = []
@@ -209,7 +378,7 @@ def _core_records(sources):
     for source in sources:
         with TraceReader(source) as reader:
             honor_warm = "shard" not in reader.header
-            for kind, address, arg in reader.records():
+            for kind, address, arg in iter_records(reader):
                 yield kind, address, arg, honor_warm
             reader.read_footer()
 
@@ -260,28 +429,6 @@ def replay_multicore(core_sources: list, config=None) -> MulticoreReplay:
 
 def canonical_digest_records(source) -> tuple[str, int, dict]:
     """sha256, length and footer of the canonical CALTRC01 stream,
-    serialised record by record through ``RECORD.pack``."""
-    digest = hashlib.sha256()
-    length = 0
-
-    def feed(data: bytes) -> None:
-        nonlocal length
-        digest.update(data)
-        length += len(data)
-
-    with TraceReader(source) as reader:
-        header = dict(reader.header)
-        if "format" in header:
-            header["format"] = MAGIC.decode("ascii")
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        feed(MAGIC)
-        feed(struct.pack("<I", len(header_bytes)))
-        feed(header_bytes)
-        pack = RECORD.pack
-        for kind, address, arg in reader.records():
-            feed(pack(kind, address, arg))
-        footer = reader.read_footer()
-        footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
-        feed(pack(EV_END, 0, len(footer_bytes)))
-        feed(footer_bytes)
-    return digest.hexdigest(), length, footer
+    serialised record by record through :func:`encode_v1`."""
+    data, footer = canonical_v1(source)
+    return hashlib.sha256(data).hexdigest(), len(data), footer

@@ -3,6 +3,7 @@
 import glob
 import json
 
+import oracle
 import pytest
 
 from repro.traces.__main__ import main
@@ -26,7 +27,7 @@ def test_record_info_replay_shard_pipeline(tmp_path, capsys):
 
     assert main(["info", trace]) == 0
     out = capsys.readouterr().out
-    assert "CALTRC01" in out
+    assert "CALTRC02" in out
     assert "server-churn" in out
 
     assert main(["replay", trace]) == 0
@@ -54,7 +55,7 @@ def test_compressed_record_info_replay(tmp_path, capsys):
     trace = str(tmp_path / "cli.v2.trace")
     assert main(
         ["record", "--scenario", "scan-heavy", "--instructions", "3000",
-         "--compress", "--out", trace]
+         "--out", trace]
     ) == 0
     assert "CALTRC02 compressed" in capsys.readouterr().out
 
@@ -79,13 +80,14 @@ def test_compressed_record_info_replay(tmp_path, capsys):
 
 
 def test_info_on_truncated_file_fails_clearly(tmp_path, capsys):
-    for compress in (False, True):
-        trace = str(tmp_path / f"trunc-{compress}.trace")
-        assert main(
-            ["record", "--scenario", "server-churn", "--instructions", "2000",
-             *(["--compress"] if compress else []), "--out", trace]
-        ) == 0
-        capsys.readouterr()
+    recorded = str(tmp_path / "trunc-v2.trace")
+    assert main(
+        ["record", "--scenario", "server-churn", "--instructions", "2000",
+         "--out", recorded]
+    ) == 0
+    capsys.readouterr()
+    v1_twin = oracle.write_v1(recorded, str(tmp_path / "trunc-v1.trace"))
+    for trace in (v1_twin, recorded):
         with open(trace, "rb") as handle:
             raw = handle.read()
         for cut in (3, 10, len(raw) // 2, len(raw) - 4):
@@ -101,7 +103,7 @@ def test_info_on_corrupted_header_fails_clearly(tmp_path, capsys):
     trace = str(tmp_path / "corrupt.trace")
     assert main(
         ["record", "--scenario", "server-churn", "--instructions", "2000",
-         "--compress", "--out", trace]
+         "--out", trace]
     ) == 0
     capsys.readouterr()
     with open(trace, "r+b") as handle:

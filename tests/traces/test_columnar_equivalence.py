@@ -8,23 +8,26 @@ time), for timing replay (footer stats, and the live run), hierarchy
 replay (counters, violations, cycles), sharded merges, and multi-core
 per-core attribution.  The corpus's columnar canonical digest is held
 to the same standard against the per-record serialisation, on the
-registry and on random record streams.  The same differential-testing
-pattern as ``tests/core/test_fastpath_equivalence``.
+registry and on random record streams, and the columnar frame decoder
+against the per-record ``oracle.decode_frame`` on corrupted frames.  The
+same differential-testing pattern as
+``tests/core/test_fastpath_equivalence``.
 """
 
+import hashlib
 import zlib
 from io import BytesIO
 
 import oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.store import canonical_digest
 from repro.loadgen.compose import compose_spec
 from repro.loadgen.schema import ArrivalSpec, LoadScenario, MixEntry
 from repro.traces import CORPUS, compress, record_spec, replay_timing
-from repro.traces.format import EV_EPOCH, TraceReader, trace_writer
+from repro.traces.format import EV_EPOCH, TraceFormatError, TraceReader
 from repro.traces.replayer import (
     replay_hierarchy,
     replay_multicore,
@@ -41,15 +44,22 @@ CONTAINERS = ("v1", "v2")
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """Every registry scenario in both containers, plus a loadgen mix."""
+    """Every registry scenario in both containers, plus a loadgen mix.
+
+    The recorder writes CALTRC02; each CALTRC01 twin is the oracle's
+    re-serialisation of it."""
     workdir = tmp_path_factory.mktemp("columnar")
     traces = {}
+
+    def record(name, spec):
+        v2 = str(workdir / f"{name}.v2.trace")
+        live = record_spec(spec, v2)
+        v1 = oracle.write_v1(v2, str(workdir / f"{name}.v1.trace"))
+        traces[name, "v1"] = (v1, live)
+        traces[name, "v2"] = (v2, live)
+
     for name in ALL_SCENARIOS:
-        spec = CORPUS[name].scaled(INSTRUCTIONS)
-        for container in CONTAINERS:
-            path = str(workdir / f"{name}.{container}.trace")
-            live = record_spec(spec, path, compress=container == "v2")
-            traces[name, container] = (path, live)
+        record(name, CORPUS[name].scaled(INSTRUCTIONS))
     load = LoadScenario(
         name="columnar-mix",
         description="loadgen stream for the columnar differential suite",
@@ -63,12 +73,7 @@ def recorded(tmp_path_factory):
         warmup_s=0.05,
         seed=23,
     )
-    for container in CONTAINERS:
-        path = str(workdir / f"loadgen.{container}.trace")
-        live = record_spec(
-            compose_spec(load), path, compress=container == "v2"
-        )
-        traces["loadgen", container] = (path, live)
+    record("loadgen", compose_spec(load))
     return traces
 
 
@@ -86,22 +91,96 @@ ALL_TRACES = [
 def test_column_batches_reproduce_the_record_stream(name, container, recorded):
     path, _ = recorded[name, container]
     with TraceReader(path) as tuples, TraceReader(path) as columns:
-        stream = tuples.records()
+        stream = oracle.iter_records(tuples)
         for batch in columns.column_batches():
-            for row in zip(
-                batch.kind.tolist(), batch.address.tolist(), batch.arg.tolist()
-            ):
+            for row in oracle.rows([batch]):
                 assert row == next(stream)
         assert next(stream, None) is None
         assert columns.footer == tuples.footer
 
 
-def test_column_batches_rejects_mixed_iteration(recorded):
-    path, _ = recorded["server-churn", "v1"]
-    with TraceReader(path) as reader:
-        next(iter(reader.records()))
-        with pytest.raises(RuntimeError, match="records\\(\\)"):
-            reader.column_batches()
+RUN_SHAPES = st.lists(
+    st.tuples(
+        st.integers(0, EV_EPOCH),
+        st.integers(0, 1 << 40),
+        st.integers(0, 4096),
+        st.integers(-512, 512),
+        st.integers(1, 8),
+    ),
+    max_size=10,
+)
+
+
+def _decode_outcome(decode):
+    """``("records", rows)`` or ``("error", message)``; any exception
+    other than :class:`TraceFormatError` propagates and fails the test."""
+    try:
+        return "records", decode()
+    except TraceFormatError as error:
+        return "error", str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=RUN_SHAPES,
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "insert", "delete"]),
+            st.integers(0, 1 << 16),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    count_shift=st.sampled_from([-1, 0, 1]),
+)
+@example(  # the zero-length run token of TestMalformedCompressed
+    runs=[(0, 50, 8, 0, 1), (0, 51, 8, 0, 1)],
+    edits=[("insert", 3, 0x08), ("insert", 4, 0x00), ("insert", 5, 0x0A),
+           ("insert", 6, 0x06), ("insert", 7, 0x08)],
+    count_shift=0,
+)
+def test_columnar_frame_decode_matches_the_oracle_on_corrupt_frames(
+    runs, edits, count_shift
+):
+    """Byte-mutated token streams decode to the same records, or fail
+    with the same :class:`TraceFormatError` message, in the columnar
+    decoder and the per-record reference."""
+    records = [
+        (kind, start + step * stride, arg)
+        for kind, start, arg, stride, length in runs
+        for step in range(length)
+        if start + step * stride >= 0
+    ]
+    tokens = bytearray(zlib.decompress(compress.encode_frame(records)))
+    for operation, position, value in edits:
+        if operation == "insert":
+            tokens.insert(position % (len(tokens) + 1), value)
+        elif tokens:
+            index = position % len(tokens)
+            if operation == "flip":
+                tokens[index] ^= value or 0x80
+            else:
+                del tokens[index]
+    payload = zlib.compress(bytes(tokens))
+    record_count = max(0, len(records) + count_shift)
+    expected = _decode_outcome(
+        lambda: list(oracle.decode_frame(payload, record_count))
+    )
+    if expected[0] == "records":
+        # The columnar engine's domain is int64; the reference decodes
+        # unbounded Python ints.
+        assume(
+            all(
+                -(1 << 63) <= value < (1 << 63)
+                for _, address, arg in expected[1]
+                for value in (address, arg)
+            )
+        )
+    actual = _decode_outcome(
+        lambda: oracle.rows([compress.decode_frame_columns(payload, record_count)])
+    )
+    assert actual == expected
 
 
 # -- single-trace replay ------------------------------------------------------
@@ -185,6 +264,20 @@ def test_canonical_digest_matches_the_per_record_oracle(
     assert canonical_digest(path) == oracle.canonical_digest_records(path)
 
 
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ["loadgen"])
+def test_canonical_digest_is_the_hash_of_the_v1_bytes(name, recorded):
+    """The corpus digest of a CALTRC02 recording is the sha256 (and the
+    length) of its CALTRC01 serialisation, so objects recorded in either
+    container share one identity."""
+    v2, _ = recorded[name, "v2"]
+    v1, _ = recorded[name, "v1"]
+    with open(v1, "rb") as handle:
+        data = handle.read()
+    assert data == oracle.canonical_v1(v2)[0]
+    digest, length, _ = canonical_digest(v2)
+    assert (digest, length) == (hashlib.sha256(data).hexdigest(), len(data))
+
+
 ADDRESS_MAX = (1 << 63) - 1
 ARG_MAX = (1 << 32) - 1
 
@@ -209,12 +302,15 @@ def record_streams(draw):
 
 
 def _serialise(records, version):
-    buffer = BytesIO()
     header = {"format": "ignored", "scenario": "digest-property"}
-    with trace_writer(buffer, header, version=version) as writer:
+    footer = {"records": len(records)}
+    if version == 1:
+        return oracle.encode_v1(header, records, footer)
+    buffer = BytesIO()
+    with compress.CompressedTraceWriter(buffer, header) as writer:
         for record in records:
             writer.append(*record)
-        writer.set_footer({"records": writer.record_count})
+        writer.set_footer(footer)
     return buffer.getvalue()
 
 

@@ -4,20 +4,27 @@ The acceptance gate for the compressed container: across the whole
 scenario registry, a CALTRC02 recording replays bit-identically to its
 CALTRC01 twin — single-core, sharded and multi-core — while shrinking
 the on-disk footprint by well over the 4x target on compressible mixes.
+The CALTRC01 twins are written by the test-side encoder
+(``oracle.write_v1``); nothing in ``src/`` writes that container.
 """
 
 import io
+import json
+import struct
 import zlib
 
+import oracle
 import pytest
 
 from repro.traces import CORPUS, record_spec, replay_timing
 from repro.traces.compress import (
+    _FRAME_RECORDS_HEAD,
+    FRAME_RECORDS,
     MAGIC_V2,
     MAX_FRAME_RECORDS,
     CompressedTraceWriter,
     compression_summary,
-    decode_frame,
+    decode_frame_columns,
     encode_frame,
     frame_stats,
     transcode,
@@ -30,7 +37,6 @@ from repro.traces.format import (
     EV_STORE,
     TraceFormatError,
     TraceReader,
-    trace_writer,
 )
 from repro.traces.replayer import replay_multicore, replay_shards, shard_trace
 
@@ -45,11 +51,15 @@ ALL_SCENARIOS = sorted(CORPUS)
 class TestFrameCodec:
     def roundtrip(self, records):
         payload = encode_frame(records)
-        assert list(decode_frame(payload, len(records))) == records
+        assert list(oracle.decode_frame(payload, len(records))) == records
+        if all(address < 2**63 for _, address, _ in records):
+            columns = decode_frame_columns(payload, len(records))
+            assert oracle.rows([columns]) == records
         return payload
 
     def test_empty_frame(self):
-        assert list(decode_frame(encode_frame([]), 0)) == []
+        assert list(oracle.decode_frame(encode_frame([]), 0)) == []
+        assert len(decode_frame_columns(encode_frame([]), 0)) == 0
 
     def test_mixed_records(self):
         self.roundtrip(
@@ -94,7 +104,9 @@ class TestFrameCodec:
     def test_record_count_mismatch_detected(self):
         payload = encode_frame([(EV_LOAD, 64, 8)] * 10)
         with pytest.raises(TraceFormatError, match="promised"):
-            list(decode_frame(payload, 11))
+            list(oracle.decode_frame(payload, 11))
+        with pytest.raises(TraceFormatError, match="promised"):
+            decode_frame_columns(payload, 11)
 
 
 # -- container round-trip -----------------------------------------------------
@@ -121,7 +133,7 @@ class TestContainer:
         buffer.seek(0)
         reader = TraceReader(buffer)
         assert reader.version == 2
-        assert list(reader.records()) == records
+        assert oracle.rows(reader.column_batches()) == records
         assert reader.footer == {"records": len(records)}
 
     def test_epochless_trace_flushes_by_cap(self):
@@ -129,22 +141,18 @@ class TestContainer:
         records = [(EV_LOAD, index * 8, 8) for index in range(count)]
         buffer = self._write(records)
         buffer.seek(0)
-        assert sum(1 for _ in TraceReader(buffer).records()) == count
+        assert len(oracle.rows(TraceReader(buffer).column_batches())) == count
 
     def test_empty_trace(self):
         buffer = self._write([])
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert list(reader.records()) == []
+        assert oracle.rows(reader.column_batches()) == []
         assert reader.footer == {"records": 0}
 
     def test_magic_detected(self):
         buffer = self._write([])
         assert buffer.getvalue().startswith(MAGIC_V2)
-
-    def test_trace_writer_factory_rejects_unknown_version(self):
-        with pytest.raises(ValueError, match="version"):
-            trace_writer(io.BytesIO(), {}, version=3)
 
 
 # -- whole-registry v1 <-> v2 equivalence ------------------------------------
@@ -152,15 +160,15 @@ class TestContainer:
 
 @pytest.fixture(scope="module")
 def recorded_pairs(tmp_path_factory):
-    """Record every registry scenario in both containers once."""
+    """Record every registry scenario once, plus its CALTRC01 twin."""
     workdir = tmp_path_factory.mktemp("v1v2")
     pairs = {}
     for name in ALL_SCENARIOS:
         spec = CORPUS[name].scaled(INSTRUCTIONS)
         v1 = str(workdir / f"{name}.v1.trace")
         v2 = str(workdir / f"{name}.v2.trace")
-        live = record_spec(spec, v1)
-        record_spec(spec, v2, compress=True)
+        live = record_spec(spec, v2)
+        oracle.write_v1(v2, v1)
         pairs[name] = (spec, v1, v2, live)
     return pairs
 
@@ -169,8 +177,7 @@ def recorded_pairs(tmp_path_factory):
 def test_v2_record_stream_is_identical(name, recorded_pairs):
     _, v1, v2, _ = recorded_pairs[name]
     with TraceReader(v1) as a, TraceReader(v2) as b:
-        for left, right in zip(a.records(), b.records(), strict=True):
-            assert left == right
+        assert oracle.rows(a.column_batches()) == oracle.rows(b.column_batches())
         assert a.footer == b.footer
         assert {k: v for k, v in a.header.items() if k != "format"} == {
             k: v for k, v in b.header.items() if k != "format"
@@ -220,16 +227,19 @@ def test_compression_reaches_target_ratio(recorded_pairs):
     assert len(winners) >= 2, winners
 
 
-def test_transcode_both_directions(recorded_pairs, tmp_path):
+def test_transcode_writes_caltrc02(recorded_pairs, tmp_path):
     spec, v1, v2, live = recorded_pairs["quarantine-pressure"]
-    back_to_v1 = str(tmp_path / "back.v1.trace")
-    to_v2 = str(tmp_path / "to.v2.trace")
-    transcode(v2, back_to_v1, version=1)
-    transcode(v1, to_v2, version=2)
-    # v2 -> v1 reproduces the original v1 file byte-for-byte.
-    with open(v1, "rb") as a, open(back_to_v1, "rb") as b:
-        assert a.read() == b.read()
-    assert replay_timing(to_v2) == live
+    from_v1 = str(tmp_path / "from-v1.trace")
+    from_v2 = str(tmp_path / "from-v2.trace")
+    assert transcode(v1, from_v1) == transcode(v2, from_v2)
+    # Re-encoding reproduces the recorder's CALTRC02 file byte-for-byte,
+    # whichever container the records came from.
+    with open(v2, "rb") as recorded:
+        original = recorded.read()
+    for path in (from_v1, from_v2):
+        with open(path, "rb") as handle:
+            assert handle.read() == original
+    assert replay_timing(from_v1) == live
 
 
 def test_frame_stats_match_footer(recorded_pairs):
@@ -267,23 +277,21 @@ class TestMalformedCompressed:
     def test_truncated_mid_frame(self, sample):
         reader = TraceReader(io.BytesIO(sample[: len(sample) // 2]))
         with pytest.raises(TraceFormatError, match="truncated|terminator"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_missing_end_frame(self, sample):
         # Chop the end frame (5-byte head + footer JSON) off exactly.
-        import json
-
         footer_bytes = len(json.dumps({"records": 505}, sort_keys=True))
         reader = TraceReader(io.BytesIO(sample[: -(5 + footer_bytes)]))
         with pytest.raises(TraceFormatError, match="terminator"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_corrupt_frame_payload(self, sample):
         corrupted = bytearray(sample)
         corrupted[len(corrupted) // 2] ^= 0xFF
         reader = TraceReader(io.BytesIO(bytes(corrupted)))
         with pytest.raises(TraceFormatError):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_unknown_frame_type(self):
         buffer = io.BytesIO()
@@ -291,16 +299,13 @@ class TestMalformedCompressed:
             writer.set_footer({})
         raw = buffer.getvalue()
         # The first byte after the header preamble is the frame type.
-        import json
-        import struct
-
         header_len = struct.unpack_from("<I", raw, 8)[0]
         offset = 8 + 4 + header_len
         corrupted = bytearray(raw)
         corrupted[offset] = 0x7E
         reader = TraceReader(io.BytesIO(bytes(corrupted)))
         with pytest.raises(TraceFormatError, match="frame type"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_truncated_magic(self):
         with pytest.raises(TraceFormatError, match="truncated"):
@@ -313,4 +318,71 @@ class TestMalformedCompressed:
         writer.abort()
         reader = TraceReader(path)
         with pytest.raises(TraceFormatError):
-            list(reader.records())
+            list(reader.column_batches())
+
+    # Tokens of two plain records at 50 and 51 plus one run token with
+    # count 0 (``08 00 0a 06 08``: Δstart +5, stride 3, arg 8).  The
+    # encoder never emits a zero count (``MIN_RUN``), so it is corrupt.
+    ZERO_RUN_MIDDLE = bytes.fromhex("006408" "08000a0608" "000208")
+    ZERO_RUN_LAST = bytes.fromhex("006408" "000208" "08000a0608")
+
+    @pytest.mark.parametrize(
+        "tokens", [ZERO_RUN_MIDDLE, ZERO_RUN_LAST], ids=["middle", "last"]
+    )
+    def test_zero_length_run_is_corrupt(self, tokens):
+        payload = zlib.compress(tokens)
+        with pytest.raises(TraceFormatError, match="zero-length run"):
+            decode_frame_columns(payload, 2)
+        with pytest.raises(TraceFormatError, match="zero-length run"):
+            list(oracle.decode_frame(payload, 2))
+
+    def test_zero_length_run_is_located_in_the_file(self, tmp_path):
+        path = str(tmp_path / "zero-run.trace")
+        with CompressedTraceWriter(path, {"kind": "test"}) as writer:
+            writer.append(EV_LOAD, 0x1000, 8)
+            writer._flush_frame()
+            frame_start = writer._file.tell()
+            payload = zlib.compress(self.ZERO_RUN_LAST)
+            writer._file.write(
+                _FRAME_RECORDS_HEAD.pack(FRAME_RECORDS, 2, len(payload))
+            )
+            writer._file.write(payload)
+            writer.set_footer({"records": 3})
+        with pytest.raises(TraceFormatError) as caught:
+            with TraceReader(path) as reader:
+                list(reader.column_batches())
+        assert caught.value.path == path
+        assert caught.value.offset == frame_start
+        assert "zero-length run" in str(caught.value)
+
+
+def test_frame_stats_report_a_truncated_payload_inside_the_file(tmp_path):
+    """A file cut inside a frame payload is reported at that frame's
+    offset, exactly as the reader reports it — not as a missing
+    terminator past the end of the file."""
+    path = str(tmp_path / "cut.trace")
+    with CompressedTraceWriter(path, {"kind": "test"}) as writer:
+        for index in range(40):
+            writer.append(EV_LOAD, index * 4096 + (index * 7919) % 977, 8)
+        writer.append(EV_EPOCH, 0, 0)
+        for index in range(40):
+            writer.append(EV_STORE, index * 8192 + (index * 104729) % 613, 4)
+        writer.set_footer({"records": writer.record_count})
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    with TraceReader(io.BytesIO(raw)) as reader:
+        second_frame = reader.data_offset
+        second_frame += _FRAME_RECORDS_HEAD.size + struct.unpack_from(
+            "<I", raw, second_frame + 5
+        )[0]
+    size = second_frame + _FRAME_RECORDS_HEAD.size + 3  # inside the payload
+    with open(path, "wb") as handle:
+        handle.write(raw[:size])
+    with pytest.raises(TraceFormatError) as from_reader:
+        with TraceReader(path) as reader:
+            list(reader.column_batches())
+    with pytest.raises(TraceFormatError) as from_stats:
+        frame_stats(path)
+    assert str(from_stats.value) == str(from_reader.value)
+    assert "truncated compressed trace: frame payload" in str(from_stats.value)
+    assert from_stats.value.offset == second_frame < size

@@ -1,9 +1,15 @@
-"""Unit tests for the binary trace format's streaming writer/reader."""
+"""Unit tests for the CALTRC01 container's streaming column reader.
+
+Nothing in ``src/`` writes CALTRC01 any more; the samples are built by
+the test-side encoder ``oracle.encode_v1``.
+"""
 
 import io
 
+import oracle
 import pytest
 
+from repro.corpus.store import canonical_digest
 from repro.traces.format import (
     EV_CFORM,
     EV_LOAD,
@@ -12,16 +18,19 @@ from repro.traces.format import (
     RECORD_SIZE,
     TraceFormatError,
     TraceReader,
-    TraceWriter,
     read_header,
 )
 
 
 def _write_sample(target, records, header=None, footer=None):
-    with TraceWriter(target, header or {"kind": "test"}) as writer:
-        for kind, address, arg in records:
-            writer.append(kind, address, arg)
-        writer.set_footer(footer or {"records": len(records)})
+    data = oracle.encode_v1(
+        header or {"kind": "test"}, records, footer or {"records": len(records)}
+    )
+    if isinstance(target, str):
+        with open(target, "wb") as handle:
+            handle.write(data)
+    else:
+        target.write(data)
 
 
 class TestRoundTrip:
@@ -36,7 +45,7 @@ class TestRoundTrip:
         buffer.seek(0)
         reader = TraceReader(buffer)
         assert reader.header == {"kind": "test"}
-        assert list(reader.records()) == records
+        assert oracle.rows(reader.column_batches()) == records
         assert reader.footer == {"records": 3}
 
     def test_empty_trace(self):
@@ -44,7 +53,7 @@ class TestRoundTrip:
         _write_sample(buffer, [])
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert list(reader.records()) == []
+        assert oracle.rows(reader.column_batches()) == []
         assert reader.footer == {"records": 0}
 
     def test_path_based_io(self, tmp_path):
@@ -55,38 +64,43 @@ class TestRoundTrip:
             assert reader.read_footer() == {"records": 1}
 
     def test_streaming_across_flush_boundaries(self):
-        # More records than one writer flush and one reader chunk.
-        count = TraceWriter.FLUSH_RECORDS * 2 + 17
+        # More records than two reader chunks, plus a partial one.
+        count = TraceReader.COLUMN_CHUNK_RECORDS * 2 + 17
         records = [(EV_LOAD, index * 64, 8) for index in range(count)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert sum(1 for _ in reader.records()) == count
+        sizes = [len(batch) for batch in reader.column_batches()]
+        assert sizes == [TraceReader.COLUMN_CHUNK_RECORDS] * 2 + [17]
 
-    def test_read_footer_after_partial_iteration(self):
-        """read_footer continues the shared records iterator — breaking
+    def test_read_footer_after_partial_iteration(self, monkeypatch):
+        """read_footer continues the shared column iterator — breaking
         out of an iteration must not lose the buffered chunk."""
+        monkeypatch.setattr(TraceReader, "COLUMN_CHUNK_RECORDS", 5)
         records = [(EV_LOAD, index * 64, 8) for index in range(100)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        consumed = []
-        for record in reader.records():
-            consumed.append(record)
-            if len(consumed) == 5:
-                break
+        first = next(reader.column_batches())
         assert reader.read_footer() == {"records": 100}
         # The shared iterator was drained, not restarted.
-        assert consumed == records[:5]
+        assert oracle.rows([first]) == records[:5]
+        assert next(reader.column_batches(), None) is None
 
     def test_u64_address_and_u32_arg_bounds(self):
-        records = [(EV_LOAD, 2**64 - 1, 2**32 - 1)]
+        records = [(EV_LOAD, 2**63 - 1, 2**32 - 1)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
-        assert list(TraceReader(buffer).records()) == records
+        assert oracle.rows(TraceReader(buffer).column_batches()) == records
+        # Beyond int64 the columnar reader refuses rather than wrapping.
+        buffer = io.BytesIO()
+        _write_sample(buffer, [(EV_LOAD, 2**64 - 1, 8)])
+        buffer.seek(0)
+        with pytest.raises(TraceFormatError, match="int64 range"):
+            list(TraceReader(buffer).column_batches())
 
 
 class TestMalformedFiles:
@@ -106,7 +120,7 @@ class TestMalformedFiles:
         raw = buffer.getvalue()[: -(RECORD_SIZE + 2)]
         reader = TraceReader(io.BytesIO(raw))
         with pytest.raises(TraceFormatError):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_truncated_footer(self):
         buffer = io.BytesIO()
@@ -114,7 +128,7 @@ class TestMalformedFiles:
         raw = buffer.getvalue()[:-50]
         reader = TraceReader(io.BytesIO(raw))
         with pytest.raises(TraceFormatError, match="footer"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_path_based_errors_name_file_and_offset(self, tmp_path):
         """Failures must be attributable to one file and one position —
@@ -126,7 +140,7 @@ class TestMalformedFiles:
             handle.truncate(size - (RECORD_SIZE + 20))
         with pytest.raises(TraceFormatError) as caught:
             with TraceReader(path) as reader:
-                list(reader.records())
+                list(reader.column_batches())
         assert caught.value.path == path
         assert caught.value.offset is not None
         assert path in str(caught.value)
@@ -151,3 +165,30 @@ class TestMalformedFiles:
     def test_record_size_is_stable(self):
         # The format spec in BENCHMARKS.md documents 13-byte records.
         assert RECORD_SIZE == 13
+
+
+class TestUnknownKinds:
+    """A CALTRC01 record of a kind above ``EV_EPOCH`` (other than the
+    terminator) is a located format error at decode, as in CALTRC02 —
+    never a record handed to the replayer or hashed into a digest."""
+
+    RECORDS = [(EV_LOAD, 0x1000, 8), (EV_LOAD, 0x1040, 8), (9, 0x2000, 8)]
+
+    def test_column_batches_reject_the_record(self, tmp_path):
+        path = str(tmp_path / "kind9.trace")
+        _write_sample(path, self.RECORDS)
+        with pytest.raises(TraceFormatError) as caught:
+            with TraceReader(path) as reader:
+                list(reader.column_batches())
+        error = caught.value
+        assert "unknown record kind 9" in str(error)
+        assert error.path == path
+        # The third record, after the preamble and two 13-byte records.
+        with TraceReader(path) as reader:
+            assert error.offset == reader.data_offset + 2 * RECORD_SIZE
+
+    def test_canonical_digest_refuses_it(self, tmp_path):
+        path = str(tmp_path / "kind9.trace")
+        _write_sample(path, self.RECORDS)
+        with pytest.raises(TraceFormatError, match="unknown record kind 9"):
+            canonical_digest(path)

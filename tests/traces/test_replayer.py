@@ -2,13 +2,14 @@
 
 import io
 
+import oracle
 import pytest
 
 from repro.traces import (
     CORPUS,
+    CompressedTraceWriter,
     TraceIntegrityError,
     TraceReader,
-    TraceWriter,
     record_spec,
     replay_hierarchy,
     replay_shards,
@@ -26,16 +27,20 @@ def small_trace(tmp_path_factory):
     return path, live
 
 
+def _contents(path):
+    """Header, records and footer of a trace, for rewriting it."""
+    with TraceReader(path) as reader:
+        records = list(oracle.iter_records(reader))
+        return reader.header, records, dict(reader.footer)
+
+
 class TestIntegrity:
     def test_tampered_footer_is_caught(self, small_trace, tmp_path):
         path, _ = small_trace
-        with TraceReader(path) as reader:
-            header = reader.header
-            records = list(reader.records())
-            footer = dict(reader.footer)
+        header, records, footer = _contents(path)
         footer["events"] = dict(footer["events"], l1_misses=12345)
         tampered = str(tmp_path / "tampered.trace")
-        with TraceWriter(tampered, header) as writer:
+        with CompressedTraceWriter(tampered, header) as writer:
             for record in records:
                 writer.append(*record)
             writer.set_footer(footer)
@@ -47,12 +52,9 @@ class TestIntegrity:
 
     def test_dropped_records_are_caught(self, small_trace, tmp_path):
         path, _ = small_trace
-        with TraceReader(path) as reader:
-            header = reader.header
-            records = list(reader.records())
-            footer = reader.footer
+        header, records, footer = _contents(path)
         truncated = str(tmp_path / "truncated.trace")
-        with TraceWriter(truncated, header) as writer:
+        with CompressedTraceWriter(truncated, header) as writer:
             for record in records[: len(records) // 2]:
                 writer.append(*record)
             writer.set_footer(footer)
@@ -82,8 +84,7 @@ class TestSharding:
         path, _ = small_trace
         shards = shard_trace(path, str(tmp_path / "b"), shards=3)
         for shard_path in shards[:-1]:
-            with TraceReader(shard_path) as reader:
-                records = list(reader.records())
+            records = oracle.read_records(shard_path)
             if records:
                 assert records[-1][0] == EV_EPOCH
 
@@ -189,10 +190,11 @@ def test_unknown_record_kind_rejected(tmp_path):
     with TraceReader(path) as reader:
         header = reader.header
     bad = str(tmp_path / "bad.trace")
-    with TraceWriter(bad, header) as writer:
-        writer.append(EV_LOAD, 0, 8)
-        writer.append(200, 0, 0)  # not a known EV_* kind
-        writer.set_footer({})
+    # Only the fixed-record CALTRC01 layout can carry kind byte 200.
+    with open(bad, "wb") as handle:
+        handle.write(
+            oracle.encode_v1(header, [(EV_LOAD, 0, 8), (200, 0, 0)], {})
+        )
     from repro.traces.format import TraceFormatError
 
     with pytest.raises(TraceFormatError, match="unknown record kind"):
