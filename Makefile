@@ -19,10 +19,10 @@ DEMO_DIR_SETUP = set -e; dir="$(TRACE_DEMO_DIR)"; \
 #: the second build demonstrates pure corpus hits; CI caches it).
 CORPUS_DIR ?= .repro-corpus
 
-.PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
+.PHONY: test test-slow bench bench-quick bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke \
-        telemetry-smoke serve-smoke
+        telemetry-smoke
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
 FAULTS_DIR ?= .repro-faults
@@ -38,18 +38,15 @@ test-slow:
 
 ## Record a full BENCH_<timestamp>.json trajectory entry.
 bench:
-	$(PY) -m repro.perf $(BENCH_ARGS)
+	$(PY) -m repro perf $(BENCH_ARGS)
 
-## Fast smoke run (small workloads, no report written).
+## Fast smoke run (small workloads, no report written; the CI gate).
 bench-quick:
-	$(PY) -m repro.perf --quick --no-write
-
-## CI alias for the smoke run (the workflow gate).
-bench-smoke: bench-quick
+	$(PY) -m repro perf --quick --no-write
 
 ## Full run plus cProfile dumps under benchmarks/trajectory/profiles/.
 bench-profile:
-	$(PY) -m repro.perf --profile $(BENCH_ARGS)
+	$(PY) -m repro perf --profile $(BENCH_ARGS)
 
 ## Regenerate EXPERIMENTS.md + results/*.json (quick profile).
 experiments:
@@ -99,64 +96,32 @@ telemetry-smoke:
 	$(PY) -m repro telemetry summarize "$(TELEMETRY_DIR)/telemetry"; \
 	echo "telemetry-smoke: artifacts present, schemas valid"
 
-#: Working directory for the serve-smoke run (kept, so CI can upload
-#: the server log on failure).
-SERVE_DIR ?= .repro-serve
-
-## CI gate for the corpus/experiment service: build a tiny corpus +
-## pack + results doc, start `repro serve` on an ephemeral port, then
-## drive it with scripts/serve_smoke.py — fetch-by-digest byte
-## identity, replay identity through the RemoteStore, results 200→304
-## revalidation, a digest-verified pack round-trip, a streamed job, and
-## a parseable /metrics body.  See docs/SERVICE.md; the server log
-## lands in SERVE_DIR/serve.log.
-serve-smoke:
-	set -e; rm -rf "$(SERVE_DIR)"; mkdir -p "$(SERVE_DIR)/results"; \
-	$(PY) -m repro corpus --root "$(SERVE_DIR)/corpus" build \
-		--scenario server-churn --instructions 4000; \
-	$(PY) -m repro corpus --root "$(SERVE_DIR)/corpus" pack; \
-	$(PY) -c "import json; \
-	from repro.experiments.results import RESULT_SCHEMA; \
-	json.dump({'schema': RESULT_SCHEMA, 'section': 'smoke', \
-	'title': 'serve smoke', 'data': {'ok': 1}}, \
-	open('$(SERVE_DIR)/results/smoke.json', 'w'))"; \
-	$(PY) -m repro serve --port 0 --corpus "$(SERVE_DIR)/corpus" \
-		--results-dir "$(SERVE_DIR)/results" \
-		--port-file "$(SERVE_DIR)/port" \
-		> "$(SERVE_DIR)/serve.log" 2>&1 & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	i=0; until [ -s "$(SERVE_DIR)/port" ] || [ $$i -ge 100 ]; do \
-		sleep 0.1; i=$$((i+1)); done; \
-	[ -s "$(SERVE_DIR)/port" ] || { cat "$(SERVE_DIR)/serve.log"; exit 1; }; \
-	$(PY) scripts/serve_smoke.py \
-		"http://127.0.0.1:$$(cat $(SERVE_DIR)/port)" "$(SERVE_DIR)/corpus"
-
 ## Trace engine end-to-end: record -> info -> shard -> parallel replay.
 ## Runs in a private mktemp dir (removed on exit) unless TRACE_DEMO_DIR
 ## is set, in which case that directory is used and kept.
 trace-demo:
 	@$(DEMO_DIR_SETUP); \
-	$(PY) -m repro.traces list; \
-	$(PY) -m repro.traces record --scenario server-churn \
+	$(PY) -m repro trace list; \
+	$(PY) -m repro trace record --scenario server-churn \
 		--instructions 8000 --out "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces info --frames "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces replay "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces shard "$$dir/server-churn.trace" \
+	$(PY) -m repro trace info --frames "$$dir/server-churn.trace"; \
+	$(PY) -m repro trace replay "$$dir/server-churn.trace"; \
+	$(PY) -m repro trace shard "$$dir/server-churn.trace" \
 		--out-dir "$$dir/shards" --shards 4; \
-	$(PY) -m repro.traces info --frames \
+	$(PY) -m repro trace info --frames \
 		"$$dir/shards/server-churn.shard000.trace"; \
-	$(PY) -m repro.traces replay-shards "$$dir/shards"/*.trace --jobs 2; \
-	$(PY) -m repro.traces replay "$$dir/server-churn.trace" --mode hierarchy
+	$(PY) -m repro trace replay-shards "$$dir/shards"/*.trace --jobs 2; \
+	$(PY) -m repro trace replay "$$dir/server-churn.trace" --mode hierarchy
 
 ## Corpus store end-to-end: build the registry corpus (recording what's
 ## missing), list + hash-verify it, rebuild to show pure corpus hits,
 ## then gc.  The store persists in CORPUS_DIR across runs.
 corpus-demo:
-	$(PY) -m repro.corpus --root "$(CORPUS_DIR)" build --instructions 8000
-	$(PY) -m repro.corpus --root "$(CORPUS_DIR)" ls
-	$(PY) -m repro.corpus --root "$(CORPUS_DIR)" verify
-	$(PY) -m repro.corpus --root "$(CORPUS_DIR)" build --instructions 8000
-	$(PY) -m repro.corpus --root "$(CORPUS_DIR)" gc
+	$(PY) -m repro corpus --root "$(CORPUS_DIR)" build --instructions 8000
+	$(PY) -m repro corpus --root "$(CORPUS_DIR)" ls
+	$(PY) -m repro corpus --root "$(CORPUS_DIR)" verify
+	$(PY) -m repro corpus --root "$(CORPUS_DIR)" build --instructions 8000
+	$(PY) -m repro corpus --root "$(CORPUS_DIR)" gc
 
 #: Output directory for the loadgen-smoke trace artifacts (kept, so CI
 #: can upload them).
@@ -175,16 +140,16 @@ loadgen-smoke:
 		--out "$(LOADGEN_DIR)/uniform-churn-2.trace"; \
 	cmp "$(LOADGEN_DIR)/uniform-churn.trace" \
 		"$(LOADGEN_DIR)/uniform-churn-2.trace"; \
-	$(PY) -m repro.traces info "$(LOADGEN_DIR)/uniform-churn.trace"; \
-	$(PY) -m repro.traces replay "$(LOADGEN_DIR)/uniform-churn.trace"
+	$(PY) -m repro trace info "$(LOADGEN_DIR)/uniform-churn.trace"; \
+	$(PY) -m repro trace replay "$(LOADGEN_DIR)/uniform-churn.trace"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).
 trace-demo-mc:
 	@$(DEMO_DIR_SETUP); \
-	$(PY) -m repro.traces record --scenario server-churn \
+	$(PY) -m repro trace record --scenario server-churn \
 		--instructions 8000 --out "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
+	$(PY) -m repro trace replay-mc "$$dir/server-churn.trace" \
 		--cores 2 --jobs 2; \
-	$(PY) -m repro.traces replay-mc --mix server-vs-scan \
+	$(PY) -m repro trace replay-mc --mix server-vs-scan \
 		--instructions 8000 --jobs 2

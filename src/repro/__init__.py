@@ -39,9 +39,7 @@ def package_version() -> str:
     Preferring package metadata means an installed build reports exactly
     what pip resolved; the source-tree fallback (``PYTHONPATH=src``
     development runs, where nothing is installed) reports the in-tree
-    version.  ``repro --version``, the service's ``Server:`` header and
-    the remote client's ``User-Agent`` all read this one function, so
-    the two sides of ``repro.serve`` can see each other's versions.
+    version.  ``python -m repro --version`` reports it.
     """
     try:
         from importlib.metadata import version

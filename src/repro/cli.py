@@ -4,17 +4,17 @@ Subcommands::
 
     run       run registered experiments (by name/tag/--set; default: all)
               and write EXPERIMENTS.md + results/*.json
-    perf      the perf harness          (= python -m repro.perf ...)
-    trace     the trace engine          (= python -m repro.traces ...)
-    corpus    the corpus store          (= python -m repro.corpus ...)
-    faults    fault injection           (= python -m repro.reliability ...)
-    loadgen   the traffic engine        (= python -m repro.loadgen ...)
-    telemetry run introspection         (= python -m repro.telemetry ...)
-    serve     corpus/experiment service (= python -m repro.serve ...)
+    perf      the perf harness          (repro.perf.cli)
+    trace     the trace engine          (repro.traces.cli)
+    corpus    the corpus store          (repro.corpus.cli)
+    faults    fault injection           (repro.reliability.cli)
+    loadgen   the traffic engine        (repro.loadgen.cli)
+    telemetry run introspection         (repro.telemetry.cli)
 
-``run`` is implemented here against the experiment registry; the others
-delegate verbatim to the existing module CLIs, so every flag those
-tools document works unchanged.  Examples::
+Every subcommand is a branch of one argparse tree: ``run`` is defined
+here against the experiment registry, and each command module adds its
+own branch through ``register(commands)``.  :func:`main` owns the one
+mapping from handler errors to exit codes.  Examples::
 
     python -m repro run                        # all sections, quick
     python -m repro run fig10 fig11            # two sections by name
@@ -68,7 +68,33 @@ def _cmd_list() -> int:
     return 0
 
 
+def _validate_run(arguments: argparse.Namespace) -> None:
+    """Fail fast on a bad --set or --faults, not mid-run."""
+    if arguments.set:
+        from repro.loadgen.sets import load_scenarios, resolve
+
+        try:
+            resolve(arguments.set, load_scenarios())
+        except (KeyError, ValueError, OSError) as error:
+            message = (
+                str(error.args[0])
+                if isinstance(error, KeyError) and error.args
+                else str(error)
+            )
+            raise argparse.ArgumentError(None, f"--set: {message}")
+    if arguments.faults:
+        from repro.reliability.faults import FaultPlan
+
+        try:
+            FaultPlan.from_json(arguments.faults)
+        except Exception as error:
+            raise argparse.ArgumentError(
+                None, f"--faults is not a valid fault plan: {error}"
+            )
+
+
 def _cmd_run(arguments: argparse.Namespace) -> int:
+    _validate_run(arguments)
     if arguments.list:
         return _cmd_list()
     if arguments.reference is None:
@@ -210,41 +236,18 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
     return 0
 
 
-#: Delegated subcommands: name -> import path of the module CLI's main.
-#: Dispatched before argparse sees the argv tail, because
-#: ``nargs=REMAINDER`` refuses tails that start with an option token
-#: (``python -m repro perf --list``).
-_DELEGATED = {
-    "perf": "repro.perf.__main__",
-    "trace": "repro.traces.__main__",
-    "corpus": "repro.corpus.__main__",
-    "faults": "repro.reliability.__main__",
-    "loadgen": "repro.loadgen.__main__",
-    "telemetry": "repro.telemetry.__main__",
-    "serve": "repro.serve.__main__",
-}
+def job_count(text: str) -> int:
+    """argparse type shared by every ``--jobs`` flag: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    return jobs
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in _DELEGATED:
-        import importlib
-
-        module = importlib.import_module(_DELEGATED[argv[0]])
-        return module.main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Califorms reproduction: experiments, perf harness, "
-        "trace engine and corpus store behind one CLI.",
-    )
-    from repro import package_version
-
-    parser.add_argument(
-        "--version", action="version", version=f"repro {package_version()}"
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _register_run(commands) -> None:
     run = commands.add_parser(
         "run",
         help="run registered experiments and write EXPERIMENTS.md + "
@@ -273,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         help="shorthand for --profile full (long traces, 3 seeds)",
     )
     run.add_argument(
-        "--jobs", "-j", type=int, default=1,
+        "--jobs", "-j", type=job_count, default=1,
         help="worker processes for the experiment sections (default: 1)",
     )
     run.add_argument(
@@ -341,47 +344,62 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true",
         help="list registered experiments (name, tags, needs) and exit",
     )
+    run.set_defaults(
+        handler=_cmd_run, usage_errors=(UnknownExperimentError,)
+    )
 
-    # Registered for `python -m repro -h` discoverability; actual
-    # dispatch happened above, before argparse.
-    for name, help_text in (
-        ("perf", "perf harness (= python -m repro.perf ...)"),
-        ("trace", "trace engine (= python -m repro.traces ...)"),
-        ("corpus", "corpus store (= python -m repro.corpus ...)"),
-        ("faults", "fault injection (= python -m repro.reliability ...)"),
-        ("loadgen", "traffic engine (= python -m repro.loadgen ...)"),
-        ("telemetry", "run introspection (= python -m repro.telemetry ...)"),
-        ("serve", "corpus/experiment service (= python -m repro.serve ...)"),
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: ``run`` plus every module's branch."""
+    from repro import package_version
+    from repro.corpus import cli as corpus_cli
+    from repro.loadgen import cli as loadgen_cli
+    from repro.perf import cli as perf_cli
+    from repro.reliability import cli as faults_cli
+    from repro.telemetry import cli as telemetry_cli
+    from repro.traces import cli as traces_cli
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Califorms reproduction: experiments, perf harness, "
+        "trace engine and corpus store behind one CLI.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"repro {package_version()}"
+    )
+    # How main() reports a handler's errors: runtime_errors print
+    # "error: ..." and exit 1; usage_errors (and argparse.ArgumentError)
+    # print the command's usage and exit 2.  Commands override both.
+    parser.set_defaults(runtime_errors=(), usage_errors=())
+    commands = parser.add_subparsers(dest="command", required=True)
+    _register_run(commands)
+    for module in (
+        perf_cli, traces_cli, corpus_cli, faults_cli, loadgen_cli,
+        telemetry_cli,
     ):
-        commands.add_parser(name, help=help_text, add_help=False)
+        module.register(commands)
+    for command in commands.choices.values():
+        command.set_defaults(command_parser=command)
+    return parser
 
-    arguments = parser.parse_args(argv)
-    if arguments.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if arguments.set:
-        from repro.loadgen.sets import load_scenarios, resolve
 
-        try:  # fail fast on unknown sets/scenarios, not mid-run
-            resolve(arguments.set, load_scenarios())
-        except (KeyError, ValueError, OSError) as error:
-            message = (
-                str(error.args[0])
-                if isinstance(error, KeyError) and error.args
-                else str(error)
-            )
-            parser.error(f"--set: {message}")
-    if arguments.faults:
-        from repro.reliability.faults import FaultPlan
-
-        try:  # fail fast, not as a per-section failure mid-run
-            FaultPlan.from_json(arguments.faults)
-        except Exception as error:
-            parser.error(f"--faults is not a valid fault plan: {error}")
+def main(argv: list[str] | None = None) -> int:
+    arguments = build_parser().parse_args(argv)
     try:
-        return _cmd_run(arguments)
-    except UnknownExperimentError as error:
-        parser.error(str(error.args[0]) if error.args else str(error))
-        return 2  # unreachable; parser.error exits
+        return arguments.handler(arguments)
+    except arguments.runtime_errors as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    except (argparse.ArgumentError, *arguments.usage_errors) as error:
+        # str(KeyError) is the repr of its argument — unwrap so the
+        # message is not printed inside stray quotes.
+        message = (
+            error.args[0]
+            if isinstance(error, KeyError) and error.args
+            else error
+        )
+        arguments.command_parser.error(str(message))
+        return 2  # unreachable; ArgumentParser.error exits
 
 
 if __name__ == "__main__":

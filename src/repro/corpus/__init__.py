@@ -10,7 +10,7 @@ workloads through :class:`CorpusStore` (recording on first use,
 replaying thereafter), so repeated runner invocations and CI reuse one
 recorded corpus instead of regenerating per figure.
 
-``python -m repro.corpus build|verify|gc|ls|key`` is the CLI.
+``python -m repro corpus build|verify|gc|ls|key`` is the CLI.
 """
 
 from repro.corpus.manifest import (

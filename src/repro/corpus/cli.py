@@ -1,4 +1,4 @@
-"""CLI for the corpus store: ``python -m repro.corpus``.
+"""CLI for the corpus store: ``python -m repro corpus``.
 
 Subcommands::
 
@@ -11,22 +11,16 @@ Subcommands::
     gc      drop unreferenced objects, stale manifest entries and
             quarantined damage older than ``--keep-days``
     key     print the registry fingerprint (the CI cache key)
-    pack    frame objects (all, or ``--scenario`` selections) into one
-            content-addressed ``.pack`` container for distribution
-    unpack  install a pack's objects + manifest bindings into the store
 
 The store root is ``--root``, else ``$REPRO_CORPUS_DIR``, else
 ``./.repro-corpus``.  Examples::
 
-    python -m repro.corpus build --instructions 8000
-    python -m repro.corpus ls
-    python -m repro.corpus verify
-    python -m repro.corpus verify --repair
-    python -m repro.corpus gc --keep-days 3
-    python -m repro.corpus key
-    python -m repro.corpus pack
-    python -m repro.corpus pack --scenario server-churn --out churn.pack
-    python -m repro.corpus unpack churn.pack
+    python -m repro corpus build --instructions 8000
+    python -m repro corpus ls
+    python -m repro corpus verify
+    python -m repro corpus verify --repair
+    python -m repro corpus gc --keep-days 3
+    python -m repro corpus key
 
 See the "Corpus & compression" section of BENCHMARKS.md for the store
 layout and measured compression ratios.
@@ -41,10 +35,10 @@ import sys
 from repro.corpus.store import (
     DEFAULT_ROOT,
     ENV_ROOT,
+    QUARANTINE_KEEP_DAYS,
     CorpusStore,
     registry_fingerprint,
 )
-from repro.traces.format import TraceFormatError
 from repro.traces.registry import CORPUS
 
 
@@ -164,54 +158,30 @@ def _cmd_gc(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pack(arguments: argparse.Namespace) -> int:
-    from repro.corpus.packs import write_pack
-
-    path, identifier, count = write_pack(
-        _store(arguments), out=arguments.out, names=arguments.scenario
-    )
-    print(f"packed {count} object(s) -> {path}")
-    print(f"pack id {identifier}")
-    return 0
-
-
-def _cmd_unpack(arguments: argparse.Namespace) -> int:
-    from repro.corpus.packs import unpack, verify_pack
-
-    problems = verify_pack(arguments.pack)
-    if problems:
-        for problem in problems:
-            print(f"FAIL {problem}", file=sys.stderr)
-        return 1
-    installed, skipped = unpack(arguments.pack, _store(arguments))
-    for digest in installed:
-        print(f"installed {digest[:16]}")
-    print(
-        f"{len(installed)} object(s) installed, {len(skipped)} already "
-        f"present (root {arguments.root})"
-    )
-    return 0
-
-
 def _cmd_key(arguments: argparse.Namespace) -> int:
     print(registry_fingerprint())
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.corpus",
+def register(commands) -> None:
+    parser = commands.add_parser(
+        "corpus",
+        help="build, inspect and verify the trace corpus",
         description="Build, inspect and verify the content-addressed "
         "trace corpus.",
+    )
+    parser.set_defaults(
+        runtime_errors=(OSError, ValueError),
+        usage_errors=(KeyError,),
     )
     parser.add_argument(
         "--root",
         default=os.environ.get(ENV_ROOT, DEFAULT_ROOT),
         help=f"store root (default: ${ENV_ROOT} or {DEFAULT_ROOT})",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    subcommands = parser.add_subparsers(dest="command", required=True)
 
-    build = commands.add_parser(
+    build = subcommands.add_parser(
         "build", help="record any registry mixes missing from the store"
     )
     build.add_argument(
@@ -223,9 +193,11 @@ def main(argv: list[str] | None = None) -> int:
         "--instructions", type=int, default=None,
         help="override every spec's trace length",
     )
+    build.set_defaults(handler=_cmd_build)
 
-    commands.add_parser("ls", help="list manifest entries")
-    verify = commands.add_parser(
+    listing = subcommands.add_parser("ls", help="list manifest entries")
+    listing.set_defaults(handler=_cmd_ls)
+    verify = subcommands.add_parser(
         "verify", help="re-hash objects against the manifest"
     )
     verify.add_argument(
@@ -233,12 +205,11 @@ def main(argv: list[str] | None = None) -> int:
         help="self-heal: quarantine damaged objects and re-record them "
         "from their manifest-stored specs",
     )
-    gc = commands.add_parser(
+    verify.set_defaults(handler=_cmd_verify)
+    gc = subcommands.add_parser(
         "gc",
         help="remove unreferenced objects and old quarantined damage",
     )
-    from repro.corpus.store import QUARANTINE_KEEP_DAYS
-
     gc.add_argument(
         "--keep-days", type=float, default=QUARANTINE_KEEP_DAYS,
         metavar="DAYS",
@@ -246,47 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(default: {QUARANTINE_KEEP_DAYS:g}; the events.jsonl ledger "
         "is always kept)",
     )
-    commands.add_parser(
+    gc.set_defaults(handler=_cmd_gc)
+    key = subcommands.add_parser(
         "key", help="print the registry fingerprint (CI cache key)"
     )
-    pack = commands.add_parser(
-        "pack",
-        help="frame corpus objects into one .pack container",
-    )
-    pack.add_argument(
-        "--scenario", action="append", metavar="NAME",
-        help="scenario to include (repeatable; default: every recorded "
-        "object)",
-    )
-    pack.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output file (default: <root>/packs/<pack id>.pack)",
-    )
-    unpack = commands.add_parser(
-        "unpack",
-        help="verify a pack and install its objects + bindings",
-    )
-    unpack.add_argument("pack", help="pack file to install")
-
-    arguments = parser.parse_args(argv)
-    handler = {
-        "build": _cmd_build,
-        "ls": _cmd_ls,
-        "verify": _cmd_verify,
-        "gc": _cmd_gc,
-        "key": _cmd_key,
-        "pack": _cmd_pack,
-        "unpack": _cmd_unpack,
-    }[arguments.command]
-    try:
-        return handler(arguments)
-    except (TraceFormatError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except KeyError as error:
-        parser.error(str(error.args[0]) if error.args else str(error))
-        return 2  # unreachable; parser.error exits
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    key.set_defaults(handler=_cmd_key)

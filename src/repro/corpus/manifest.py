@@ -8,7 +8,7 @@ names the object file, record/byte counts and the scenario name.  The
 fingerprint answers "have we recorded this workload?"; the digest
 answers "are the bytes on disk the ones we recorded?" — together they
 make the store reproducible (same spec → same fingerprint → same object)
-and verifiable (``python -m repro.corpus verify``).
+and verifiable (``python -m repro corpus verify``).
 
 Writes are atomic (temp file + ``os.replace``) and serialised through an
 advisory file lock, so parallel experiment sections building overlapping

@@ -1,4 +1,4 @@
-"""CLI for the traffic engine: ``python -m repro.loadgen``.
+"""CLI for the traffic engine: ``python -m repro loadgen``.
 
 Subcommands::
 
@@ -13,7 +13,7 @@ Examples::
     python -m repro loadgen show multi-tenant-server
     python -m repro loadgen generate uniform-churn --out uc.trace
     python -m repro loadgen generate "4x server-churn" --out x4.trace
-    python -m repro.traces replay uc.trace      # verifies vs the footer
+    python -m repro trace replay uc.trace       # verifies vs the footer
 
 ``generate`` resolves its token like ``repro run --set``: a scenario
 name, a counted alias (``4x server-churn``) or — with ``--spec`` — a
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.compose import apportion_tenants, compose_spec
@@ -62,6 +61,12 @@ def _cmd_sets(arguments: argparse.Namespace) -> int:
 
 
 def _resolve_one(arguments: argparse.Namespace) -> LoadScenario:
+    if bool(arguments.scenario) == bool(arguments.spec):
+        raise argparse.ArgumentError(
+            None,
+            f"{arguments.command} needs a scenario name or --spec FILE "
+            "(not both)",
+        )
     if arguments.spec:
         scenario = load_scenario(arguments.spec)
     else:
@@ -114,23 +119,34 @@ def _cmd_generate(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.loadgen",
+def register(commands) -> None:
+    parser = commands.add_parser(
+        "loadgen",
+        help="compose multi-tenant load scenarios into recorded traces",
         description="Open-loop traffic engine: compose multi-tenant "
         "load scenarios into recorded traces.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(
+        runtime_errors=(TraceFormatError, TraceIntegrityError, OSError),
+        usage_errors=(KeyError, ValueError),
+    )
+    subcommands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="show the committed scenario documents")
-    commands.add_parser("sets", help="show the named benchmark sets")
+    listing = subcommands.add_parser(
+        "list", help="show the committed scenario documents"
+    )
+    listing.set_defaults(handler=_cmd_list)
+    sets = subcommands.add_parser("sets", help="show the named benchmark sets")
+    sets.set_defaults(handler=_cmd_sets)
 
-    show = commands.add_parser(
+    show = subcommands.add_parser(
         "show", help="print one scenario document and its composition plan"
     )
-    generate = commands.add_parser(
+    show.set_defaults(handler=_cmd_show)
+    generate = subcommands.add_parser(
         "generate", help="compose a scenario and record the merged trace"
     )
+    generate.set_defaults(handler=_cmd_generate)
     for sub in (show, generate):
         sub.add_argument(
             "scenario", nargs="?", default=None,
@@ -148,32 +164,3 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=None,
         help="output trace path (default: <name>.trace)",
     )
-
-    arguments = parser.parse_args(argv)
-    if arguments.command in ("show", "generate"):
-        if bool(arguments.scenario) == bool(arguments.spec):
-            parser.error(
-                f"{arguments.command} needs a scenario name or --spec FILE "
-                "(not both)"
-            )
-    handler = {
-        "list": _cmd_list,
-        "sets": _cmd_sets,
-        "show": _cmd_show,
-        "generate": _cmd_generate,
-    }[arguments.command]
-    try:
-        return handler(arguments)
-    except (TraceFormatError, TraceIntegrityError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as error:
-        if isinstance(error, KeyError) and error.args:
-            parser.error(str(error.args[0]))
-        else:
-            parser.error(str(error))
-        return 2  # unreachable; parser.error exits
-
-
-if __name__ == "__main__":
-    sys.exit(main())

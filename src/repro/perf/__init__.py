@@ -10,7 +10,7 @@ PR.
 
 Entry point::
 
-    python -m repro.perf [--iterations N] [--warmup N] [--profile]
+    python -m repro perf [--iterations N] [--warmup N] [--profile]
                          [--scenario NAME ...] [--label LABEL]
 
 Each run writes ``BENCH_<label>.json`` (default label: a UTC timestamp)

@@ -32,11 +32,6 @@ Scenario families:
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
     compressed CALTRC02 trace.
-``serve_fetch`` / ``serve_results``
-    The corpus/experiment service (``repro.serve``), measured over real
-    sockets against an in-process server: fetch-by-digest object reads
-    on a keep-alive connection, and the results cache's 304
-    revalidation path.
 ``experiment_e2e``
     A small end-to-end slice of the Figure 10 experiment pipeline.
 ``codec_reference``
@@ -321,107 +316,6 @@ def _loadgen_generate(quick: bool) -> Workload:
     return generate_once, 1
 
 
-def _start_serve(corpus_root: str, results_dir: str) -> int:
-    """Run a :class:`~repro.serve.app.ServeApp` in a daemon thread.
-
-    Returns the ephemeral port once the server is accepting.  The thread
-    lives for the rest of the process — fine for a perf run, where the
-    harness process exits after the report is written.
-    """
-    import asyncio
-    import threading
-
-    from repro.serve.app import ServeApp
-
-    app = ServeApp(corpus_root, results_dir)
-    ready = threading.Event()
-    bound: dict[str, int] = {}
-
-    def run() -> None:
-        async def serve() -> None:
-            server = await app.start("127.0.0.1", 0)
-            bound["port"] = server.sockets[0].getsockname()[1]
-            ready.set()
-            async with server:
-                await server.serve_forever()
-
-        asyncio.run(serve())
-
-    threading.Thread(target=run, daemon=True, name="perf-serve").start()
-    if not ready.wait(timeout=30):
-        raise RuntimeError("serve app failed to start within 30s")
-    return bound["port"]
-
-
-def _serve_fetch(quick: bool) -> Workload:
-    import http.client
-    import tempfile
-
-    from repro.corpus.store import CorpusStore
-    from repro.traces.registry import corpus_spec
-
-    root = tempfile.mkdtemp(prefix="repro-perf-serve-")
-    store = CorpusStore(root)
-    spec = corpus_spec("pointer-chase").scaled(2_000 if quick else 8_000)
-    digest = store.ensure(spec).entry.digest
-    port = _start_serve(root, root)  # no results dir needed here
-    count = 8 if quick else 32
-
-    def fetch_all() -> None:
-        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            for _ in range(count):
-                connection.request("GET", f"/objects/{digest}")
-                response = connection.getresponse()
-                response.read()
-                assert response.status == 200, response.status
-        finally:
-            connection.close()
-
-    return fetch_all, count
-
-
-def _serve_results(quick: bool) -> Workload:
-    import http.client
-    import json as json_module
-    import os
-    import tempfile
-
-    from repro.experiments.results import RESULT_SCHEMA
-
-    results_dir = tempfile.mkdtemp(prefix="repro-perf-results-")
-    document = {
-        "schema": RESULT_SCHEMA,
-        "section": "perf",
-        "title": "perf harness serve_results section",
-        "data": {"series": list(range(64))},
-    }
-    with open(os.path.join(results_dir, "perf.json"), "w") as handle:
-        json_module.dump(document, handle, indent=2, sort_keys=True)
-    port = _start_serve(results_dir, results_dir)
-    count = 8 if quick else 64
-
-    def revalidate_all() -> None:
-        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            connection.request("GET", "/results/perf")
-            response = connection.getresponse()
-            response.read()
-            assert response.status == 200, response.status
-            etag = response.getheader("ETag")
-            for _ in range(count - 1):
-                connection.request(
-                    "GET", "/results/perf", headers={"If-None-Match": etag}
-                )
-                response = connection.getresponse()
-                response.read()
-                assert response.status == 304, response.status
-        finally:
-            connection.close()
-
-    return revalidate_all, count
-
-
 def _experiment_e2e(quick: bool) -> Workload:
     from repro.experiments import fig10_extra_latency
 
@@ -509,22 +403,6 @@ SCENARIOS: dict[str, Scenario] = {
             "loadgen_generate",
             "traffic engine: compose + record a 2-tenant open-loop scenario",
             _loadgen_generate,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "serve_fetch",
-            "repro.serve: fetch-by-digest object GETs over one keep-alive "
-            "connection",
-            _serve_fetch,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "serve_results",
-            "repro.serve: cached section-result GETs (one 200, then 304 "
-            "revalidations)",
-            _serve_results,
             default_iterations=10,
             default_warmup=1,
         ),

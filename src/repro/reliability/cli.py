@@ -135,15 +135,20 @@ def _cmd_matrix(arguments: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
+def register(commands) -> None:
+    parser = commands.add_parser(
+        "faults",
+        help="deterministic fault injection",
         description="Deterministic fault injection against the corpus "
         "store, the manifest lock and the experiment runner.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(runtime_errors=(OSError, ValueError))
+    subcommands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("kinds", help="list every injectable fault kind")
+    kinds = subcommands.add_parser(
+        "kinds", help="list every injectable fault kind"
+    )
+    kinds.set_defaults(handler=_cmd_kinds)
 
     def add_spec_arguments(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
@@ -163,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             help="firing budget when a stamp dir bounds it (default: 1)",
         )
 
-    plan = commands.add_parser(
+    plan = subcommands.add_parser(
         "plan",
         help="print a JSON fault plan for `repro run --faults` / "
         "$REPRO_FAULTS",
@@ -174,8 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         help="directory bounding firings across processes (required for "
         "a kill-section fault to fire once, not every retry)",
     )
+    plan.set_defaults(handler=_cmd_plan)
 
-    inject = commands.add_parser(
+    inject = subcommands.add_parser(
         "inject", help="apply a corpus fault to a store root now"
     )
     add_spec_arguments(inject)
@@ -184,8 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         default=os.environ.get(ENV_ROOT, DEFAULT_ROOT),
         help=f"store root (default: ${ENV_ROOT} or {DEFAULT_ROOT})",
     )
+    inject.set_defaults(handler=_cmd_inject)
 
-    hold = commands.add_parser(
+    hold = subcommands.add_parser(
         "hold-lock", help="hold a store's manifest lock (lock antagonist)"
     )
     hold.add_argument(
@@ -197,8 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         "--seconds", type=float, default=5.0,
         help="how long to hold the lock (default: 5)",
     )
+    hold.set_defaults(handler=_cmd_hold_lock)
 
-    matrix = commands.add_parser(
+    matrix = subcommands.add_parser(
         "matrix",
         help="run the fault × consumer matrix (CI faults-smoke payload)",
     )
@@ -215,21 +223,4 @@ def main(argv: list[str] | None = None) -> int:
         "--json", default=None, metavar="PATH",
         help="also write the case results as JSON",
     )
-
-    arguments = parser.parse_args(argv)
-    handler = {
-        "kinds": _cmd_kinds,
-        "plan": _cmd_plan,
-        "inject": _cmd_inject,
-        "hold-lock": _cmd_hold_lock,
-        "matrix": _cmd_matrix,
-    }[arguments.command]
-    try:
-        return handler(arguments)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    matrix.set_defaults(handler=_cmd_matrix)

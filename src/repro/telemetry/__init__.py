@@ -14,7 +14,7 @@ On top sit the exporters (:mod:`repro.telemetry.export` —
 ``metrics.json``, Prometheus text format, the ``TELEMETRY.md`` run
 summary), the opt-in per-section cProfile hooks
 (:mod:`repro.telemetry.profiler`) and the ``python -m repro telemetry``
-CLI (:mod:`repro.telemetry.__main__`).
+CLI (:mod:`repro.telemetry.cli`).
 
 Instrumented code uses the module-level helpers::
 

@@ -109,23 +109,26 @@ def _cmd_export(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro telemetry",
+def register(commands) -> None:
+    parser = commands.add_parser(
+        "telemetry",
+        help="summarise and export one run's telemetry",
         description="Summarise and export one run's telemetry "
         "(span log + metric snapshots).",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(runtime_errors=(OSError, ValueError))
+    subcommands = parser.add_subparsers(dest="command", required=True)
 
-    summarize = commands.add_parser(
+    summarize = subcommands.add_parser(
         "summarize", help="per-span timing table + counters + hotspots"
     )
     summarize.add_argument(
         "dir", nargs="?", default=DEFAULT_DIR,
         help=f"telemetry directory (default: {DEFAULT_DIR})",
     )
+    summarize.set_defaults(handler=_cmd_summarize)
 
-    export = commands.add_parser(
+    export = subcommands.add_parser(
         "export", help="merged metrics as JSON or Prometheus text"
     )
     export.add_argument(
@@ -140,17 +143,4 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=None, metavar="PATH",
         help="write to PATH instead of stdout",
     )
-
-    arguments = parser.parse_args(argv)
-    handler = {"summarize": _cmd_summarize, "export": _cmd_export}[
-        arguments.command
-    ]
-    try:
-        return handler(arguments)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    export.set_defaults(handler=_cmd_export)

@@ -10,8 +10,8 @@ turns that log into:
   (schema :data:`METRICS_SCHEMA`): counters summed across processes,
   gauges last-writer-wins, histograms merged bucket-wise, plus a
   per-span-name aggregation;
-* Prometheus text exposition (:func:`prometheus_text`) — the format the
-  future ``repro.serve`` ``/metrics`` endpoint will return verbatim;
+* Prometheus text exposition (:func:`prometheus_text`), written as
+  ``metrics.prom`` and by ``python -m repro telemetry export``;
 * ``TELEMETRY.md`` (:func:`summary_markdown`) — the human summary
   written next to ``results/index.json``.
 

@@ -11,7 +11,7 @@ named multi-core mixes); sharded replay splits a trace at epoch
 boundaries and fans the shards across worker processes with merged
 accounting; multi-core replay interleaves one trace stream per core
 through private L1/L2 ladders into a shared L3 with per-core
-attribution.  ``python -m repro.traces`` is the CLI
+attribution.  ``python -m repro trace`` is the CLI
 (record/replay/info/shard/replay-shards/replay-mc/list); the
 content-addressed corpus store in :mod:`repro.corpus` builds on all of
 this.

@@ -1,4 +1,4 @@
-"""CLI for the trace engine: ``python -m repro.traces``.
+"""CLI for the trace engine: ``python -m repro trace``.
 
 Subcommands::
 
@@ -13,13 +13,13 @@ Subcommands::
 
 Examples::
 
-    python -m repro.traces record --scenario server-churn --out sc.trace
-    python -m repro.traces info sc.trace
-    python -m repro.traces replay sc.trace
-    python -m repro.traces shard sc.trace --out-dir shards -n 4
-    python -m repro.traces replay-shards shards/*.trace --jobs 4
-    python -m repro.traces replay-mc sc.trace --cores 2 --jobs 2
-    python -m repro.traces replay-mc --mix server-vs-scan --instructions 8000
+    python -m repro trace record --scenario server-churn --out sc.trace
+    python -m repro trace info sc.trace
+    python -m repro trace replay sc.trace
+    python -m repro trace shard sc.trace --out-dir shards -n 4
+    python -m repro trace replay-shards shards/*.trace --jobs 4
+    python -m repro trace replay-mc sc.trace --cores 2 --jobs 2
+    python -m repro trace replay-mc --mix server-vs-scan --instructions 8000
 
 See the "Scenarios & traces" section of BENCHMARKS.md for the format
 specification and the corpus table.
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 
+from repro.cli import job_count
 from repro.traces.format import TraceFormatError, TraceIntegrityError, TraceReader
 from repro.traces.recorder import record_spec
 from repro.traces.registry import (
@@ -256,16 +256,26 @@ def _cmd_replay_mc(arguments: argparse.Namespace) -> int:
     return _replay_mc_and_print(sources, labels, jobs)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.traces",
+def register(commands) -> None:
+    parser = commands.add_parser(
+        "trace",
+        help="record, inspect, shard and replay memory traces",
         description="Record, inspect, shard and replay memory traces.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    # Runtime failures (corrupt/divergent/missing traces) are not usage
+    # errors: they exit 1 with no usage banner.
+    parser.set_defaults(
+        runtime_errors=(TraceFormatError, TraceIntegrityError, OSError),
+        usage_errors=(KeyError, ValueError),
+    )
+    subcommands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="show the scenario corpus")
+    listing = subcommands.add_parser("list", help="show the scenario corpus")
+    listing.set_defaults(handler=_cmd_list)
 
-    record = commands.add_parser("record", help="record a scenario to a file")
+    record = subcommands.add_parser(
+        "record", help="record a scenario to a file"
+    )
     record.add_argument(
         "--scenario", default="server-churn",
         help=f"corpus scenario name (known: {', '.join(sorted(CORPUS))})",
@@ -279,8 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         help="override the spec's trace length",
     )
     record.add_argument("--out", required=True, help="output trace path")
+    record.set_defaults(handler=_cmd_record)
 
-    info = commands.add_parser(
+    info = subcommands.add_parser(
         "info", help="print header/footer/compression summary"
     )
     info.add_argument("trace")
@@ -288,8 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         "--frames", action="store_true",
         help="also list per-epoch frame statistics (CALTRC02 only)",
     )
+    info.set_defaults(handler=_cmd_info)
 
-    replay = commands.add_parser("replay", help="replay one trace file")
+    replay = subcommands.add_parser("replay", help="replay one trace file")
     replay.add_argument("trace")
     replay.add_argument(
         "--mode", choices=("timing", "hierarchy"), default="timing",
@@ -300,20 +312,23 @@ def main(argv: list[str] | None = None) -> int:
         "--no-verify", action="store_true",
         help="skip footer verification in timing mode",
     )
+    replay.set_defaults(handler=_cmd_replay)
 
-    shard = commands.add_parser("shard", help="split into per-epoch shards")
+    shard = subcommands.add_parser("shard", help="split into per-epoch shards")
     shard.add_argument("trace")
     shard.add_argument("--out-dir", required=True)
     shard.add_argument("--shards", "-n", type=int, default=4)
+    shard.set_defaults(handler=_cmd_shard)
 
-    rs = commands.add_parser(
+    rs = subcommands.add_parser(
         "replay-shards", help="replay shard files with merged accounting"
     )
     rs.add_argument("shards", nargs="+", help="shard trace files")
-    rs.add_argument("--jobs", "-j", type=int, default=1)
+    rs.add_argument("--jobs", "-j", type=job_count, default=1)
     rs.add_argument("--mode", choices=("timing", "hierarchy"), default="timing")
+    rs.set_defaults(handler=_cmd_replay_shards)
 
-    mc = commands.add_parser(
+    mc = subcommands.add_parser(
         "replay-mc",
         help="multi-core shared-L3 replay: one trace stream per core",
     )
@@ -336,37 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         help="number of cores (default: one per trace / mix entry)",
     )
     mc.add_argument(
-        "--jobs", "-j", type=int, default=1,
+        "--jobs", "-j", type=job_count, default=1,
         help="worker processes for the per-core ladder phase "
         "(statistics are identical at any value)",
     )
-
-    arguments = parser.parse_args(argv)
-    handler = {
-        "list": _cmd_list,
-        "record": _cmd_record,
-        "info": _cmd_info,
-        "replay": _cmd_replay,
-        "shard": _cmd_shard,
-        "replay-shards": _cmd_replay_shards,
-        "replay-mc": _cmd_replay_mc,
-    }[arguments.command]
-    try:
-        return handler(arguments)
-    except (TraceFormatError, TraceIntegrityError, OSError) as error:
-        # Runtime failures (corrupt/divergent/missing traces) are not
-        # usage errors: report plainly, exit 1, no usage banner.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as error:
-        # str(KeyError) is the repr of its argument — unwrap so the
-        # message is not printed inside stray quotes.
-        if isinstance(error, KeyError) and error.args:
-            parser.error(str(error.args[0]))
-        else:
-            parser.error(str(error))
-        return 2  # unreachable; parser.error exits
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    mc.set_defaults(handler=_cmd_replay_mc)

@@ -20,6 +20,7 @@ def reference_results():
 def test_report_from_the_reference_quotes_its_data(tmp_path):
     report = tmp_path / "EXPERIMENTS.md"
     write_report(reference_results(), str(report))
+    assert "Regenerated by ``python -m repro run``." in report.read_text()
     text = " ".join(report.read_text().split("## Known divergences")[1].split())
     # Figure 4 dips twice and ends at 6.72 %, below the paper's 7.6 %.
     assert "monotonic: it dips at 4 B (5.250 % < 5.280 %) and 7 B" in text

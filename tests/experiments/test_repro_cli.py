@@ -6,13 +6,13 @@ quick-profile pipeline (all sections, corpus-backed, twice) lives behind
 the ``slow`` marker with the other minutes-scale figure checks.
 """
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments.results import SectionResult
-from repro.experiments.runner import run_all
 
 #: Sections with no trace recording and sub-second runtimes.
 CHEAP = ["fig03", "table1", "table2", "table3", "sec7", "table7"]
@@ -140,29 +140,102 @@ class TestDeterminism:
             assert a == b, name
 
 
-class TestDelegation:
-    def test_trace_subcommand_delegates(self, capsys):
+#: The top-level commands, in tree order, with their help lines.
+COMMANDS = {
+    "run": "run registered experiments and write EXPERIMENTS.md + "
+    "results/*.json",
+    "perf": "benchmark the simulator's hot paths",
+    "trace": "record, inspect, shard and replay memory traces",
+    "corpus": "build, inspect and verify the trace corpus",
+    "faults": "deterministic fault injection",
+    "loadgen": "compose multi-tenant load scenarios into recorded traces",
+    "telemetry": "summarise and export one run's telemetry",
+}
+
+
+def command_paths(parser=None, prefix=()):
+    """Every command path in the tree: ("run",), ("trace", "shard"), ..."""
+    parser = parser or build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield (*prefix, name)
+                yield from command_paths(child, (*prefix, name))
+
+
+class TestCommandTree:
+    def test_help_lists_exactly_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as outcome:
+            main(["-h"])
+        assert outcome.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "{" + ",".join(COMMANDS) + "}" in text
+        for name, help_text in COMMANDS.items():
+            assert f"{name} {help_text}" in text
+        assert {path[0] for path in command_paths()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("path", sorted(command_paths()), ids="/".join)
+    def test_every_command_help_exits_zero(self, path, capsys):
+        with pytest.raises(SystemExit) as outcome:
+            main([*path, "-h"])
+        assert outcome.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: python -m repro {' '.join(path)}"
+        )
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--no-corpus"],
+            ["trace", "replay-shards", "missing.trace"],
+            ["trace", "replay-mc", "missing.trace", "--cores", "2"],
+        ],
+        ids=["run", "trace/replay-shards", "trace/replay-mc"],
+    )
+    def test_nonpositive_jobs_is_a_usage_error(self, argv, jobs, capsys):
+        with pytest.raises(SystemExit) as outcome:
+            main([*argv, "--jobs", jobs])
+        assert outcome.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "shard", "a.trace", "--out-dir", "d", "--shards", "0"],
+            ["corpus", "build", "--scenario", "nope"],
+            ["perf", "--scenario", "nope"],
+            ["loadgen", "show"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_usage_errors_name_the_command(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as outcome:
+            main(argv)
+        assert outcome.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: python -m repro {argv[0]} ")
+        assert f"\npython -m repro {argv[0]}: error: " in err
+
+    def test_trace_subcommand_dispatches(self, capsys):
         assert main(["trace", "list"]) == 0
         assert "server-churn" in capsys.readouterr().out
 
-    def test_corpus_subcommand_delegates(self, capsys):
+    def test_corpus_subcommand_dispatches(self, capsys):
         assert main(["corpus", "key"]) == 0
         out = capsys.readouterr().out.strip()
         assert len(out) == 64 and int(out, 16) >= 0
 
-    def test_perf_subcommand_delegates(self, capsys):
+    def test_perf_subcommand_dispatches(self, capsys):
         assert main(["perf", "--list"]) == 0
         assert "codec_encode" in capsys.readouterr().out
 
-    def test_loadgen_subcommand_delegates(self, capsys):
+    def test_loadgen_subcommand_dispatches(self, capsys):
         assert main(["loadgen", "list"]) == 0
         assert "uniform-churn" in capsys.readouterr().out
-
-    def test_serve_subcommand_delegates(self, capsys):
-        with pytest.raises(SystemExit) as outcome:
-            main(["serve", "--help"])
-        assert outcome.value.code == 0
-        assert "--results-dir" in capsys.readouterr().out
 
 
 class TestVersion:
@@ -220,31 +293,6 @@ class TestSetSelection:
             main(["run", "--set", "no-such-set", "--no-corpus"])
         assert excinfo.value.code == 2
         assert "--set" in capsys.readouterr().err
-
-
-class TestLegacyShims:
-    def test_run_all_returns_titles_to_bodies(self, tmp_path):
-        # The legacy dict API rides on the registry now; spot-check via
-        # a direct executor call on a cheap selection instead of a full
-        # run (which the slow suite covers).
-        from repro.experiments.context import RunContext
-        from repro.experiments.registry import select
-        from repro.experiments.runner import execute
-
-        ctx = RunContext()  # quick, no corpus
-        results = execute(select(["fig03", "table1"]), ctx)
-        legacy_shape = {r.title: r.markdown for r in results}
-        assert list(legacy_shape) == [
-            "Figure 3 — struct density census",
-            "Table 1 — CFORM K-map",
-        ]
-        assert all(isinstance(body, str) for body in legacy_shape.values())
-
-    def test_run_all_signature_unchanged(self):
-        import inspect
-
-        parameters = inspect.signature(run_all).parameters
-        assert list(parameters) == ["full", "jobs", "corpus_root"]
 
 
 @pytest.mark.slow

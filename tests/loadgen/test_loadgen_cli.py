@@ -1,33 +1,33 @@
-"""``python -m repro.loadgen``: subcommand smoke and determinism."""
+"""``python -m repro loadgen``: subcommand smoke and determinism."""
 
 import pytest
 
-from repro.loadgen.__main__ import main
+from repro.cli import main
 
 
 class TestListing:
     def test_list_names_every_committed_scenario(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["loadgen", "list"]) == 0
         out = capsys.readouterr().out
         for name in ("poisson-baseline", "uniform-churn", "tenant-attack"):
             assert name in out
 
     def test_sets_lists_members(self, capsys):
-        assert main(["sets"]) == 0
+        assert main(["loadgen", "sets"]) == 0
         out = capsys.readouterr().out
         assert "synthetic" in out and "uniform-churn" in out
 
 
 class TestShow:
     def test_show_prints_document_and_plan(self, capsys):
-        assert main(["show", "uniform-churn"]) == 0
+        assert main(["loadgen", "show", "uniform-churn"]) == 0
         out = capsys.readouterr().out
         assert '"scenario_version": 1' in out
         assert "composition plan" in out
         assert "tenant 0" in out and "tenant 1" in out
 
     def test_show_counted_alias(self, capsys):
-        assert main(["show", "3x server-churn"]) == 0
+        assert main(["loadgen", "show", "3x server-churn"]) == 0
         assert "tenant 2" in capsys.readouterr().out
 
 
@@ -37,6 +37,7 @@ class TestGenerate:
         second = tmp_path / "b.trace"
         for out in (first, second):
             assert main([
+                "loadgen",
                 "generate", "uniform-churn",
                 "--duration-scale", "0.2", "--out", str(out),
             ]) == 0
@@ -54,6 +55,7 @@ class TestGenerate:
 
         out = tmp_path / "uc.trace"
         assert main([
+            "loadgen",
             "generate", "uniform-churn",
             "--duration-scale", "0.2", "--out", str(out),
         ]) == 0
@@ -69,6 +71,7 @@ class TestGenerate:
         )
         out = tmp_path / "custom.trace"
         assert main([
+            "loadgen",
             "generate", "--spec", str(document), "--out", str(out),
         ]) == 0
         assert out.exists()
@@ -77,12 +80,12 @@ class TestGenerate:
 class TestErrors:
     def test_set_token_refuses_to_generate_many(self):
         with pytest.raises(SystemExit):
-            main(["generate", "synthetic"])
+            main(["loadgen", "generate", "synthetic"])
 
     def test_unknown_scenario_is_a_usage_error(self):
         with pytest.raises(SystemExit):
-            main(["generate", "no-such-scenario"])
+            main(["loadgen", "generate", "no-such-scenario"])
 
     def test_name_and_spec_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["show", "uniform-churn", "--spec", str(tmp_path / "x")])
+            main(["loadgen", "show", "uniform-churn", "--spec", str(tmp_path / "x")])

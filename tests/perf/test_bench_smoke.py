@@ -2,8 +2,8 @@
 
 Two guards run inside the tier-1 test session:
 
-* the ``repro.perf`` CLI executes end-to-end in quick mode and emits a
-  schema-valid ``BENCH_*.json`` report;
+* the ``python -m repro perf`` CLI executes end-to-end in quick mode
+  and emits a schema-valid ``BENCH_*.json`` report;
 * the optimized codec is still decisively faster than the retained
   reference implementation.  The gate is *relative* (same machine, same
   process, same workload), so it does not flake with host speed — but if
@@ -23,7 +23,7 @@ from repro.core.sentinel import (
     encode,
     encode_reference,
 )
-from repro.perf.__main__ import main as perf_main
+from repro.cli import main
 from repro.perf.report import SCHEMA_VERSION
 
 #: The optimized codec must keep at least this edge over the reference.
@@ -77,8 +77,9 @@ def test_codec_fast_path_keeps_its_speedup():
 
 
 def test_perf_cli_quick_run_writes_valid_report(tmp_path):
-    exit_code = perf_main(
+    exit_code = main(
         [
+            "perf",
             "--quick",
             "--scenario", "codec_encode",
             "--scenario", "codec_decode",
@@ -106,4 +107,4 @@ def test_perf_cli_rejects_unknown_scenario(capsys):
     import pytest
 
     with pytest.raises(SystemExit):
-        perf_main(["--scenario", "no_such_scenario", "--no-write"])
+        main(["perf", "--scenario", "no_such_scenario", "--no-write"])

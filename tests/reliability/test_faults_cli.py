@@ -4,21 +4,21 @@ import json
 
 from repro import cli
 from repro.corpus.store import CorpusStore
-from repro.reliability import __main__ as faults_cli
 from repro.reliability.faults import FAULT_KINDS, FaultPlan
 from repro.reliability.matrix import _matrix_spec
 
 
 class TestKindsAndPlan:
     def test_kinds_lists_every_kind(self, capsys):
-        assert faults_cli.main(["kinds"]) == 0
+        assert cli.main(["faults", "kinds"]) == 0
         printed = capsys.readouterr().out.split()
         assert printed == list(FAULT_KINDS)
 
     def test_plan_prints_a_loadable_plan(self, capsys):
         assert (
-            faults_cli.main(
-                ["plan", "--kind", "bitflip", "--target", "fig/*", "--seed", "9"]
+            cli.main(
+                ["faults", "plan", "--kind", "bitflip", "--target", "fig/*",
+                 "--seed", "9"]
             )
             == 0
         )
@@ -32,7 +32,7 @@ class TestInject:
         root = str(tmp_path / "corpus")
         digest = CorpusStore(root).ensure(_matrix_spec()).entry.digest
         assert (
-            faults_cli.main(["inject", "--kind", "bitflip", "--root", root])
+            cli.main(["faults", "inject", "--kind", "bitflip", "--root", root])
             == 0
         )
         assert "flipped bit" in capsys.readouterr().out
@@ -44,15 +44,16 @@ class TestInject:
     def test_inject_on_empty_store_reports_no_match(self, tmp_path, capsys):
         root = str(tmp_path / "corpus")
         assert (
-            faults_cli.main(["inject", "--kind", "delete", "--root", root])
+            cli.main(["faults", "inject", "--kind", "delete", "--root", root])
             == 1
         )
         assert "nothing matched" in capsys.readouterr().err
 
     def test_inject_rejects_runner_kinds(self, tmp_path, capsys):
         assert (
-            faults_cli.main(
-                ["inject", "--kind", "fail-section", "--root", str(tmp_path)]
+            cli.main(
+                ["faults", "inject", "--kind", "fail-section",
+                 "--root", str(tmp_path)]
             )
             == 2
         )
@@ -68,8 +69,9 @@ class TestDispatch:
         # Corpus + lock cells only: the runner cells spin process pools
         # and belong to test_runner_faults/CI, not this unit sweep.
         out = tmp_path / "cases.json"
-        code = faults_cli.main(
+        code = cli.main(
             [
+                "faults",
                 "matrix",
                 "--root",
                 str(tmp_path / "scratch"),

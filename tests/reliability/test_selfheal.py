@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from repro import cli
 from repro.corpus.manifest import (
     ManifestEntry,
     ManifestLockTimeout,
@@ -31,7 +32,6 @@ from repro.traces.compress import (
     CompressedTraceWriter,
 )
 from repro.traces.format import EV_LOAD, read_header
-from repro.corpus import __main__ as corpus_cli
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +302,7 @@ class TestRepair:
 class TestVerifyCli:
     def test_verify_exits_nonzero_on_damage(self, template, tmp_path, capsys):
         copy, _digest = _damaged_copy(template, tmp_path, "bitflip")
-        assert corpus_cli.main(["--root", copy, "verify"]) == 1
+        assert cli.main(["corpus", "--root", copy, "verify"]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.err
         assert "--repair" in captured.err
@@ -311,11 +311,11 @@ class TestVerifyCli:
         self, template, tmp_path, capsys
     ):
         copy, _digest = _damaged_copy(template, tmp_path, "truncate")
-        assert corpus_cli.main(["--root", copy, "verify", "--repair"]) == 0
+        assert cli.main(["corpus", "--root", copy, "verify", "--repair"]) == 0
         captured = capsys.readouterr()
         assert "HEAL" in captured.err
         assert "healed" in captured.out
-        assert corpus_cli.main(["--root", copy, "verify"]) == 0
+        assert cli.main(["corpus", "--root", copy, "verify"]) == 0
 
     def test_verify_repair_on_clean_store_is_a_no_op(
         self, template, tmp_path, capsys
@@ -323,7 +323,7 @@ class TestVerifyCli:
         root, _digest = template
         copy = str(tmp_path / "corpus")
         shutil.copytree(root, copy)
-        assert corpus_cli.main(["--root", copy, "verify", "--repair"]) == 0
+        assert cli.main(["corpus", "--root", copy, "verify", "--repair"]) == 0
         assert "0 problem(s) healed" in capsys.readouterr().out
 
 

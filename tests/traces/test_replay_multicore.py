@@ -182,13 +182,13 @@ class TestApiEdges:
 
 class TestCli:
     def test_replay_mc_output_identical_across_jobs(self, trace_pair, capsys):
-        from repro.traces.__main__ import main
+        from repro.cli import main
 
         path = trace_pair["server-churn"]
         argv = ["replay-mc", path, "--cores", "2"]
-        assert main([*argv, "--jobs", "1"]) == 0
+        assert main(["trace", *argv, "--jobs", "1"]) == 0
         serial_out = capsys.readouterr().out
-        assert main([*argv, "--jobs", "4"]) == 0
+        assert main(["trace", *argv, "--jobs", "4"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
         assert "core 0" in serial_out
@@ -196,10 +196,10 @@ class TestCli:
         assert "merged over 2 cores" in serial_out
 
     def test_replay_mc_mix_mode(self, capsys):
-        from repro.traces.__main__ import main
+        from repro.cli import main
 
         assert main(
-            ["replay-mc", "--mix", "server-vs-scan",
+            ["trace", "replay-mc", "--mix", "server-vs-scan",
              "--instructions", "2000", "--jobs", "2"]
         ) == 0
         out = capsys.readouterr().out
@@ -207,21 +207,21 @@ class TestCli:
         assert "core 1 (scan-heavy)" in out
 
     def test_replay_mc_requires_traces_xor_mix(self, trace_pair):
-        from repro.traces.__main__ import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["replay-mc"])
+            main(["trace", "replay-mc"])
         with pytest.raises(SystemExit):
             main(
-                ["replay-mc", trace_pair["server-churn"],
+                ["trace", "replay-mc", trace_pair["server-churn"],
                  "--mix", "server-vs-scan"]
             )
 
     def test_replay_mc_unknown_mix_is_usage_error(self):
-        from repro.traces.__main__ import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["replay-mc", "--mix", "nope"])
+            main(["trace", "replay-mc", "--mix", "nope"])
 
 
 class TestRegistryMixes:
