@@ -4,10 +4,9 @@ Every cache-timing statistic is computed here, live or replayed.  The
 trace layer decodes whole epochs into parallel numpy arrays
 (:class:`repro.traces.format.RecordColumns`); the live drivers append
 one ``EV_*`` record at a time to a :class:`LadderStream`, which buffers
-them into the same columns.  Either way the kernel resolves set
-indices, tag matches, LRU victim selection and miss accounting over
-those arrays in vectorized batches, instead of walking one access at a
-time through a per-access tag-array ladder.
+them into the same columns.  Either way the kernel resolves a whole
+block of accesses in whole-array passes, instead of walking one access
+at a time through a per-access tag-array ladder.
 
 Exactness is the design constraint, not an aspiration: every statistic a
 kernel produces is **bit-identical** to a per-access LRU tag-array
@@ -17,26 +16,22 @@ ladder's.  That per-access ladder lives on only as the test oracle
 ``tests/traces/oracle.py`` and the live-driver differential tests in
 ``tests/traces/test_live_stream.py``), and ``replay_timing``
 verifies replayed counts against recorded footers.
-The vectorization therefore only removes work that provably cannot
-change LRU state:
+Two facts make a block-at-a-time resolution exact:
 
-* address → ``(set, tag)`` resolution is pure arithmetic → vectorized;
-* an access to the **same line as the previous access to the same set**
-  is a guaranteed hit on that set's MRU way: the line is resident (the
-  previous access either hit it or allocated it) and re-promoting the
-  MRU entry is a no-op, so collapsing these accesses to a vectorized
-  count changes neither contents nor order (consecutive global repeats
-  — scans, CFORM line walks, pre-warm sweeps — are a subset);
 * cache **sets are independent**: an access only reads and writes its
-  own set's state, so accesses to *different* sets may be processed in
-  any order without changing any per-access hit/miss outcome.  The
-  kernel sorts each batch by set (stably, so a set's own accesses stay
-  in stream order) and then simulates **one access per set per round**
-  as whole-matrix operations over a ``(num_sets, associativity)`` pair
-  of line/timestamp arrays — exact LRU, because a per-round timestamp
-  is strictly increasing along every set's stream and the victim is the
-  minimum-stamp way.  Skewed tails (a few hot sets with long streams
-  left) finish in a tight per-set Python loop over the same state.
+  own set's state, so grouping a block by set (stably, keeping each
+  set's accesses in stream order) changes no outcome;
+* LRU is a **stack algorithm** (Mattson et al., "Evaluation techniques
+  for storage hierarchies", IBM Systems Journal, 1970): an access hits
+  iff fewer than ``ways`` distinct lines of its set were touched since
+  the previous access to its line.  A set's whole state is therefore
+  its last ``ways`` distinct lines in recency order — which is what
+  :class:`LruTagKernel` stores — and replaying them ahead of the set's
+  next block rebuilds it exactly.
+
+So each block costs two sorts, previous/next-occurrence indices, and a
+short backward scan for the reuse windows longer than ``ways``; no
+per-access or per-set Python loop is left.
 """
 
 from __future__ import annotations
@@ -67,63 +62,80 @@ KIND_EPOCH = 6
 CFORM_LINE_STRIDE = 64
 
 
-#: Below this many concurrently active sets, a vectorized round costs
-#: more in numpy dispatch than the per-set Python tail loop it replaces.
-_ROUND_MIN_SETS = 12
-
 #: Sentinel stored in the line slot of an empty way.  No address can
-#: floor-divide (line size ≥ 2) to the int64 minimum, so a plain
-#: equality match can never hit an empty way and liveness checks drop
-#: out of the hot matching loops entirely.
+#: floor-divide (line size ≥ 2) to the int64 minimum, so it never
+#: matches a real line.
 _EMPTY_LINE = int(np.iinfo(np.int64).min)
+
+#: Cells of one backward-scan position matrix (queries × chunk): bounds
+#: the scan's temporaries whatever the block size.
+_SCAN_CELLS = 1 << 15
+
+
+def _occurrences(values):
+    """``argsort(values, kind="stable")`` plus, per adjacent pair of the
+    sorted order, whether the two values are equal.
+
+    When ``(value - min) << bits(len)`` fits an int64, the index rides in
+    the low bits of one composite key, and a plain (SIMD) sort does the
+    work of a stable argsort several times faster.
+    """
+    bits = len(values).bit_length()
+    low = values.min()
+    if int(values.max()) - int(low) < 1 << (62 - bits):
+        keys = values - low
+        keys <<= bits
+        keys |= np.arange(len(values))
+        keys.sort()
+        order = keys & ((1 << bits) - 1)
+        keys >>= bits
+        return order, keys[1:] == keys[:-1]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    return order, ordered[1:] == ordered[:-1]
 
 
 class LruTagKernel:
     """Batched LRU tag array: one set-associative cache level.
 
     Same geometry, counters and LRU decisions as a per-access tag array
-    (the per-access test oracle) — but accessed a column of
-    addresses at a time.  State is a pair of
-    ``(num_sets, associativity)`` arrays: the resident line per way
-    (:data:`_EMPTY_LINE` marks an empty way, unmatched by any real
-    address) and a strictly increasing last-use timestamp per way
-    (``-1`` for empty ways, so they fill before any resident line is
-    evicted).  A victim is the minimum-stamp way — exactly the least
-    recently used — so hit/miss outcomes and retained contents are
-    identical to the ``OrderedDict``-per-set mechanics of the oracle.
+    (the per-access test oracle) — but accessed a column of addresses
+    at a time.  State is one ``(num_sets, associativity)`` array of
+    resident lines in **recency order**: each row runs from its least
+    recently used line to its most recently used one in the last column,
+    with empty ways (:data:`_EMPTY_LINE`) padding the left end.  The
+    order itself is the LRU state, so no timestamps are kept.
     """
 
     __slots__ = (
         "geometry", "accesses", "hits", "misses",
-        "rounds", "tail_accesses",
-        "_line_size", "_num_sets", "_associativity",
-        "_way_lines", "_way_stamps", "_clock",
+        "scan_chunks", "multi_chunk_accesses",
+        "_line_size", "_num_sets", "_ways", "_set_dtype", "_rows",
     )
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
         self._line_size = geometry.line_size
         self._num_sets = geometry.num_sets
-        self._associativity = geometry.associativity
-        self._way_lines = np.full(
+        self._ways = geometry.associativity
+        # uint16 set ids let the stable set sort run as a radix sort.
+        self._set_dtype = (
+            np.uint16 if geometry.num_sets <= 1 << 16 else np.int64
+        )
+        self._rows = np.full(
             (geometry.num_sets, geometry.associativity),
             _EMPTY_LINE,
             dtype=np.int64,
         )
-        self._way_stamps = np.full(
-            (geometry.num_sets, geometry.associativity), -1, dtype=np.int64
-        )
-        self._clock = 0
         self.accesses = 0
         self.hits = 0
         self.misses = 0
-        #: Instrumentation: cumulative vectorized (rank, kind) round
-        #: groups executed, and accesses that fell to the per-set Python
-        #: tail — their ratio is the batch algorithm's "tail fraction",
-        #: the telemetry layer's vectorization-health signal.  Two int
-        #: adds per batch; kept unconditional.
-        self.rounds = 0
-        self.tail_accesses = 0
+        #: Instrumentation (telemetry's ``kernel_rounds_total`` and
+        #: ``kernel_tail_accesses_total``): cumulative backward-scan chunk
+        #: iterations, and accesses whose reuse window needed more than
+        #: one chunk.  Int adds per scan; kept unconditional.
+        self.scan_chunks = 0
+        self.multi_chunk_accesses = 0
 
     def access_block(self, addresses):
         """Touch every address in order; return the miss mask.
@@ -133,209 +145,144 @@ class LruTagKernel:
         level must see, in order).  Counters update exactly as ``len(
         addresses)`` sequential per-access lookups would.
 
-        The batch algorithm, each step exactness-preserving:
+        Exact LRU from stack distances (Mattson et al., "Evaluation
+        techniques for storage hierarchies", 1970), in one pass:
 
-        1. collapse MRU repeats (global, then per set after the stable
-           set sort) — guaranteed hits with no state effect;
-        2. classify every **first batch occurrence of a line that is not
-           resident at batch entry** as a *guaranteed miss*: nothing but
-           an access to that line can insert it, so whatever happened
-           earlier in the batch, the line is absent when reached;
-        3. cut each set's stream into segments — maximal guaranteed-miss
-           runs and single *unknown* accesses — and process segment
-           round ``r`` of every set as one vectorized step.  A
-           guaranteed-miss run of ``k`` distinct lines has a closed-form
-           LRU update: its last ``min(k, assoc)`` lines replace the
-           ``min(k, assoc)`` least-recently-stamped ways; an unknown
-           access is resolved against the live state.  Stamps are the
-           batch stream position, strictly increasing along every set's
-           stream, so victim selection stays exact LRU.
-
-        Skewed leftovers (a few sets with many more segments than the
-        rest) finish in a per-set Python loop over the same state.
+        1. each touched set's resident lines, oldest first, are
+           prepended to that set's accesses (replaying them into an
+           empty set rebuilds its entry state exactly), and the whole
+           stream is stably grouped by set;
+        2. a repeat of the previous entry of the same set is a hit on
+           its MRU way that changes nothing, and is dropped;
+        3. a stable sort by line gives every entry its line's previous
+           and next occurrence.  Access ``j`` whose line last occurred
+           at ``p`` hits iff fewer than ``ways`` positions in ``(p, j)``
+           have their next occurrence after ``j`` — one per distinct
+           line touched in between.  A line with no previous occurrence
+           misses.  A window shorter than ``ways`` hits outright, and one
+           holding ``ways`` entries that are their line's last use in
+           the block (distinct lines by definition) misses outright;
+           :meth:`_scan` counts the rest;
+        4. each touched set's new row is its last ``ways`` distinct
+           lines, in order of last use.
         """
         n = len(addresses)
         self.accesses += n
         miss_mask = np.zeros(n, dtype=bool)
         if n == 0:
             return miss_mask
+        rows = self._rows
+        ways = self._ways
         lines = addresses // self._line_size
-        # Global MRU collapse: a repeat of the immediately preceding
-        # line is a guaranteed hit that leaves the LRU state untouched.
+        # Consecutive repeats of one line are a subset of step 2;
+        # dropping them first shrinks every sort.
         work = np.empty(n, dtype=bool)
         work[0] = True
         np.not_equal(lines[1:], lines[:-1], out=work[1:])
         work_idx = np.flatnonzero(work)
         work_lines = lines[work_idx]
-        set_column = work_lines % self._num_sets
-        # Stable sort by set: each set's accesses stay in stream order,
-        # different sets are independent, so processing grouped-by-set
-        # cannot change any outcome.
-        order = np.argsort(set_column, kind="stable")
-        grouped_sets = set_column[order]
-        grouped_lines = work_lines[order]
-        grouped_positions = work_idx[order]
-        # Per-set MRU collapse: a repeat of the previous access *to the
-        # same set* is likewise a guaranteed hit on that set's MRU way.
-        m = len(grouped_sets)
-        keep = np.empty(m, dtype=bool)
+        work_sets = (work_lines % self._num_sets).astype(self._set_dtype)
+        # Step 1: entries below ``prefix`` (pre-sort) are resident lines.
+        touched = np.flatnonzero(np.bincount(work_sets))
+        resident = rows[touched]
+        live = resident != _EMPTY_LINE
+        prefix = int(np.count_nonzero(live))
+        sets = np.concatenate((
+            np.broadcast_to(
+                touched.astype(self._set_dtype)[:, None], live.shape
+            )[live],
+            work_sets,
+        ))
+        order = np.argsort(sets, kind="stable")
+        stream = np.concatenate((resident[live], work_lines))[order]
+        # Step 2: a line pins its set, so equal neighbours share a set.
+        keep = np.empty(len(stream), dtype=bool)
         keep[0] = True
-        keep[1:] = (grouped_sets[1:] != grouped_sets[:-1]) | (
-            grouped_lines[1:] != grouped_lines[:-1]
-        )
+        np.not_equal(stream[1:], stream[:-1], out=keep[1:])
         if not keep.all():
-            grouped_sets = grouped_sets[keep]
-            grouped_lines = grouped_lines[keep]
-            grouped_positions = grouped_positions[keep]
-            m = len(grouped_sets)
-        set_boundary = np.empty(m, dtype=bool)
-        set_boundary[0] = True
-        np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=set_boundary[1:])
-
-        way_lines = self._way_lines
-        way_stamps = self._way_stamps
-        associativity = self._associativity
-
-        # First batch occurrence of each line (same line ⇒ same set, so
-        # a stable sort by line keeps every line's accesses in order).
-        by_line = np.argsort(grouped_lines, kind="stable")
-        lines_by_line = grouped_lines[by_line]
-        new_line = np.empty(m, dtype=bool)
-        new_line[0] = True
-        np.not_equal(lines_by_line[1:], lines_by_line[:-1], out=new_line[1:])
-        first_occurrence = np.empty(m, dtype=bool)
-        first_occurrence[by_line] = new_line
-        # Guaranteed miss: first occurrence of a line absent at entry.
-        # A line value pins its set (line mod sets), so a sorted global
-        # list of resident lines answers per-set residency in one
-        # searchsorted — and a fully cold cache skips the probe.
-        live = way_stamps >= 0
-        if live.any():
-            resident_lines = np.sort(way_lines[live])
-            first_idx = np.flatnonzero(first_occurrence)
-            first_lines = grouped_lines[first_idx]
-            slot = np.minimum(
-                np.searchsorted(resident_lines, first_lines),
-                resident_lines.size - 1,
+            order = order[keep]
+            stream = stream[keep]
+        m = len(stream)
+        # Step 3: reuse pairs (earlier, later) of each line, in order.
+        by_line, same = _occurrences(stream)
+        earlier = by_line[:-1][same]
+        later = by_line[1:][same]
+        following = np.full(m, m, dtype=np.int64)
+        following[earlier] = later
+        final = following == m  # last use in the block
+        hit = np.zeros(m, dtype=bool)
+        near = later - earlier <= ways
+        hit[later[near]] = True
+        if not near.all():
+            queries = later[~near]
+            starts = earlier[~near]
+            finals = np.cumsum(final)
+            open_ = finals[queries - 1] - finals[starts] < ways
+            hit[queries[open_]] = self._scan(
+                queries[open_], starts[open_], following
             )
-            resident = resident_lines[slot] == first_lines
-            guaranteed = np.zeros(m, dtype=bool)
-            guaranteed[first_idx[~resident]] = True
-        else:
-            guaranteed = first_occurrence.copy()
-        miss_mask[grouped_positions[guaranteed]] = True
-        miss_count = int(guaranteed.sum())
-
-        # Segments: maximal guaranteed-miss runs; unknowns stand alone.
-        # Unknown accesses record their *hits* here as they resolve; a
-        # single vectorized pass at the end books the complement as
-        # misses.
-        unknown = ~guaranteed
-        unknown_hit = np.zeros(m, dtype=bool)
-        seg_start = set_boundary | unknown
-        seg_start[1:] |= unknown[:-1]
-        seg_starts = np.flatnonzero(seg_start)
-        seg_count = seg_starts.size
-        seg_ends = np.append(seg_starts[1:], m)
-        seg_sets = grouped_sets[seg_starts]
-        seg_unknown = unknown[seg_starts]
-        first_seg = np.flatnonzero(set_boundary[seg_starts])
-        per_set_segments = np.diff(np.append(first_seg, seg_count))
-        seg_rank = np.arange(seg_count) - np.repeat(
-            first_seg, per_set_segments
-        )
-        # Ranks are consecutive per set, so the per-rank population is
-        # non-increasing: vectorize the well-populated rounds, leave the
-        # skewed tail ranks to the Python loop below.
-        rank_counts = np.bincount(seg_rank)
-        thin = rank_counts < _ROUND_MIN_SETS
-        cutoff = int(np.argmax(thin)) if thin.any() else len(rank_counts)
-
-        clock = self._clock
-        in_rounds = seg_rank < cutoff
-        round_segments = np.flatnonzero(in_rounds)
-        if round_segments.size:
-            # Group by (rank, kind): each group holds distinct sets, so
-            # one fancy-indexed update per group is conflict-free.
-            key = seg_rank[round_segments] * 2 + seg_unknown[round_segments]
-            key_order = np.argsort(key, kind="stable")
-            round_order = round_segments[key_order]
-            key_sorted = key[key_order]
-            bounds = np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1
-            group_starts = np.append(0, bounds).tolist()
-            group_ends = np.append(bounds, key_sorted.size).tolist()
-            self.rounds += len(group_starts)
-            way_columns = np.arange(associativity)
-            flat_lines = way_lines.reshape(-1)
-            flat_stamps = way_stamps.reshape(-1)
-            for group_start, group_end in zip(group_starts, group_ends):
-                segments = round_order[group_start:group_end]
-                set_ids = seg_sets[segments]
-                starts = seg_starts[segments]
-                if key_sorted[group_start] & 1:  # unknown singletons
-                    line = grouped_lines[starts]
-                    match = way_lines[set_ids] == line[:, None]
-                    hit = match.any(axis=1)
-                    way = np.where(
-                        hit,
-                        match.argmax(axis=1),
-                        way_stamps[set_ids].argmin(axis=1),
-                    )
-                    way_lines[set_ids, way] = line
-                    way_stamps[set_ids, way] = clock + starts
-                    unknown_hit[starts[hit]] = True
-                else:  # guaranteed-miss runs: closed-form LRU update
-                    ends = seg_ends[segments]
-                    fill = np.minimum(ends - starts, associativity)
-                    oldest_first = np.argsort(way_stamps[set_ids], axis=1)
-                    chosen = way_columns < fill[:, None]
-                    source = ends[:, None] - fill[:, None] + way_columns
-                    new_lines = grouped_lines[np.where(chosen, source, 0)]
-                    flat = (set_ids[:, None] * associativity + oldest_first)[
-                        chosen
-                    ]
-                    flat_lines[flat] = new_lines[chosen]
-                    flat_stamps[flat] = clock + source[chosen]
-        if cutoff < len(rank_counts):
-            # Tail: per set, every access from its first thin-rank
-            # segment to the end of its stream, simulated sequentially.
-            tail_segments = np.flatnonzero(~in_rounds)
-            tail_sets = seg_sets[tail_segments]
-            head = np.empty(tail_segments.size, dtype=bool)
-            head[0] = True
-            np.not_equal(tail_sets[1:], tail_sets[:-1], out=head[1:])
-            heads = np.flatnonzero(head)
-            first_of_set = tail_segments[heads]
-            last_of_set = tail_segments[
-                np.append(heads[1:] - 1, tail_segments.size - 1)
-            ]
-            for first_segment, last_segment in zip(
-                first_of_set.tolist(), last_of_set.tolist()
-            ):
-                set_id = int(seg_sets[first_segment])
-                start = int(seg_starts[first_segment])
-                self.tail_accesses += int(seg_ends[last_segment]) - start
-                row = way_lines[set_id].tolist()
-                stamps = way_stamps[set_id].tolist()
-                for offset, line in enumerate(
-                    grouped_lines[start : int(seg_ends[last_segment])].tolist()
-                ):
-                    if line in row:  # hits are unknowns by construction
-                        way = row.index(line)
-                        unknown_hit[start + offset] = True
-                    else:
-                        way = stamps.index(min(stamps))
-                        row[way] = line
-                    stamps[way] = clock + start + offset
-                way_lines[set_id] = row
-                way_stamps[set_id] = stamps
-        unknown_miss = unknown & ~unknown_hit
-        miss_count += int(unknown_miss.sum())
-        miss_mask[grouped_positions[unknown_miss]] = True
-        self._clock = clock + m
-        self.misses += miss_count
-        self.hits += n - miss_count
+        missed = order[~hit]
+        missed = missed[missed >= prefix]
+        miss_mask[work_idx[missed - prefix]] = True
+        self.misses += len(missed)
+        self.hits += n - len(missed)
+        # Step 4: per set, the last ``ways`` lines not used again.
+        last = np.flatnonzero(final)
+        last_sets = sets[order[last]]
+        group_end = np.empty(len(last), dtype=bool)
+        group_end[-1] = True
+        np.not_equal(last_sets[1:], last_sets[:-1], out=group_end[:-1])
+        ends = np.flatnonzero(group_end)
+        depth = np.repeat(ends, np.diff(ends, prepend=-1))
+        depth -= np.arange(len(last))
+        kept = depth < ways
+        rows[touched] = _EMPTY_LINE
+        rows[last_sets[kept], ways - 1 - depth[kept]] = stream[last[kept]]
         return miss_mask
+
+    def _scan(self, queries, starts, following):
+        """Hit flags of long reuse windows.
+
+        Query ``k`` hits iff fewer than ``ways`` positions in
+        ``(starts[k], queries[k])`` have a ``following`` occurrence
+        after ``queries[k]``.  The windows are scanned backwards from
+        their end, ``2 * ways`` positions per chunk, and a query drops
+        out as soon as it has counted ``ways`` (a miss) or exhausted its
+        window (a hit).  Queries run in slices, so each position matrix
+        holds at most :data:`_SCAN_CELLS` cells.
+        """
+        ways = self._ways
+        chunk = 2 * ways
+        offsets = np.arange(1, chunk + 1)
+        hit = np.zeros(len(queries), dtype=bool)
+        step = max(1, _SCAN_CELLS // chunk)
+        for first in range(0, len(queries), step):
+            index = np.arange(first, min(first + step, len(queries)))
+            ends = queries[index]
+            floors = starts[index]
+            seen = np.zeros(len(index), dtype=np.int64)
+            depth = 0
+            while index.size:
+                self.scan_chunks += 1
+                if depth == chunk:
+                    self.multi_chunk_accesses += len(index)
+                window = ends[:, None] - depth - offsets
+                # Clamped to the window's start, whose next occurrence is
+                # the query itself: it never counts.
+                np.maximum(window, floors[:, None], out=window)
+                seen += np.count_nonzero(
+                    following[window] > ends[:, None], axis=1
+                )
+                depth += chunk
+                undecided = seen < ways
+                exhausted = ends - depth <= floors + 1
+                hit[index[undecided & exhausted]] = True
+                undecided &= ~exhausted
+                index = index[undecided]
+                ends = ends[undecided]
+                floors = floors[undecided]
+                seen = seen[undecided]
+        return hit
 
     def reset_counters(self) -> None:
         """Zero the counters, keep the tag contents warm (end of warmup)."""
@@ -437,13 +384,17 @@ class UnknownRecordKind(ValueError):
 
 
 def report_ladder(ladder, tel) -> None:
-    """Add a ladder's per-level batch-algorithm health (rounds, tail and
-    total accesses) to telemetry handle ``tel``; no-op when ``None``."""
+    """Add a ladder's per-level kernel health (scan chunk iterations,
+    multi-chunk accesses and total accesses) to telemetry handle ``tel``;
+    no-op when ``None``."""
     if tel is None:
         return
     for name, level in ladder.levels:
-        tel.inc("kernel_rounds_total", level.rounds, level=name)
-        tel.inc("kernel_tail_accesses_total", level.tail_accesses, level=name)
+        tel.inc("kernel_rounds_total", level.scan_chunks, level=name)
+        tel.inc(
+            "kernel_tail_accesses_total", level.multi_chunk_accesses,
+            level=name,
+        )
         tel.inc("kernel_accesses_total", level.accesses, level=name)
 
 

@@ -32,6 +32,11 @@ Scenario families:
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
     compressed CALTRC02 trace.
+``kernel_ladder``
+    The LRU tag kernel alone: a fixed touch column, captured once from
+    a seeded generator run, through a fresh Table 3 ``LadderKernel`` in
+    live-stream-sized blocks — the layer every cache statistic comes
+    from, without generation or decode around it.
 ``experiment_e2e``
     A small end-to-end slice of the Figure 10 experiment pipeline.
 ``codec_reference``
@@ -316,6 +321,34 @@ def _loadgen_generate(quick: bool) -> Workload:
     return generate_once, 1
 
 
+def _kernel_ladder(quick: bool) -> Workload:
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro.memory.hierarchy import WESTMERE
+    from repro.memory.kernel import LadderKernel, expand_touches
+    from repro.workloads.generator import Scenario, run_trace
+    from repro.workloads.specs import profile
+
+    # One size for both modes: the scenario exists to time the kernel,
+    # and a smaller column would fall under 100 ms per iteration.
+    records: list[tuple[int, int, int]] = []
+    sink = SimpleNamespace(append=lambda *record: records.append(record),
+                           burst=lambda: None)
+    run_trace(profile("xalancbmk"), Scenario.baseline(), 300_000, sink=sink)
+    kinds, addresses, args = (np.array(column) for column in zip(*records))
+    touches = expand_touches(kinds.astype(np.uint8), addresses, args)[0]
+    blocks = np.array_split(touches, max(1, len(touches) >> 14))
+
+    def run_ladder() -> None:
+        ladder = LadderKernel(WESTMERE)
+        for block in blocks:
+            ladder.touch_block(block)
+
+    return run_ladder, len(touches)
+
+
 def _experiment_e2e(quick: bool) -> Workload:
     from repro.experiments import fig10_extra_latency
 
@@ -403,6 +436,13 @@ SCENARIOS: dict[str, Scenario] = {
             "loadgen_generate",
             "traffic engine: compose + record a 2-tenant open-loop scenario",
             _loadgen_generate,
+            default_iterations=10,
+            default_warmup=1,
+        ),
+        Scenario(
+            "kernel_ladder",
+            "LRU tag kernel: a captured touch column through the L1-L3 ladder",
+            _kernel_ladder,
             default_iterations=10,
             default_warmup=1,
         ),

@@ -23,6 +23,7 @@ from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.memory.kernel import (
     CFORM_LINE_STRIDE,
     LadderKernel,
+    LadderStream,
     LruTagKernel,
     expand_touches,
 )
@@ -116,6 +117,115 @@ class TestLruTagKernel:
         assert batched.accesses == 0
 
 
+def oracle_misses(geometry, addresses):
+    """The per-access oracle's miss flags and final counters."""
+    reference = TagOnlyCache(geometry)
+    flags = [not reference.access(a) for a in addresses.tolist()]
+    return flags, (reference.accesses, reference.hits, reference.misses)
+
+
+def set_lines(geometry, set_index, tags):
+    """Addresses of lines ``tags`` of one set (line offset included)."""
+    return [
+        (tag * geometry.num_sets + set_index) * geometry.line_size + 8
+        for tag in tags
+    ]
+
+
+class TestStackDistanceEdges:
+    """Reuse windows at and around the ``ways`` boundary, and geometries
+    at the edges of the kernel's sort keys."""
+
+    @pytest.mark.parametrize("ways", [3, 4, 8, 16])
+    def test_short_windows_across_many_scan_chunks(self, ways):
+        # Line 0, then a long run cycling ``ways - 1`` other lines (so
+        # its window holds few distinct lines), then line 0 again: a hit
+        # only a scan over several chunks can prove.  (With two ways or
+        # fewer such a run collapses to MRU repeats.)
+        geometry = CacheGeometry(
+            size_bytes=64 * ways * 4, associativity=ways, line_size=64
+        )
+        cycle = list(range(1, ways))
+        tags = [0] + cycle * (8 * ways // len(cycle) + 3) + [0]
+        addresses = np.array(set_lines(geometry, 2, tags), dtype=np.int64)
+        expected, counters = oracle_misses(geometry, addresses)
+        batched = LruTagKernel(geometry)
+        assert batched.access_block(addresses).tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == counters
+        assert expected[-1] is False  # the far reuse hits ...
+        assert batched.multi_chunk_accesses == 1  # ... after several chunks
+        assert batched.scan_chunks > 2
+
+    @pytest.mark.parametrize("ways", [3, 4, 8, 16])
+    def test_distant_distinct_lines_behind_a_long_repeat_run(self, ways):
+        # ``ways - 2`` distinct lines, then a long run cycling two more:
+        # the reuse of line 0 sees exactly ``ways`` distinct lines, the
+        # last of them found only chunks back — a miss.  The early lines
+        # are touched again afterwards, so no shortcut settles it.
+        geometry = CacheGeometry(
+            size_bytes=64 * ways * 3, associativity=ways, line_size=64
+        )
+        early = list(range(1, ways - 1))
+        run = [ways, ways + 1] * 4 * ways
+        tags = [0, *early, *run, 0, *early]
+        addresses = np.array(set_lines(geometry, 1, tags), dtype=np.int64)
+        expected, counters = oracle_misses(geometry, addresses)
+        batched = LruTagKernel(geometry)
+        assert batched.access_block(addresses).tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == counters
+        assert expected[len(early) + len(run) + 1] is True
+        assert batched.multi_chunk_accesses >= 1
+
+    @pytest.mark.parametrize(
+        "ways,num_sets", [(1, 16), (1, 1), (4, 1), (16, 1), (2, 70_001)]
+    )
+    def test_edge_geometries(self, ways, num_sets):
+        # Direct-mapped, fully associative (one set) and more sets than
+        # a uint16 set id can name.
+        geometry = CacheGeometry(
+            size_bytes=64 * ways * num_sets, associativity=ways, line_size=64
+        )
+        rng = np.random.default_rng(ways * 7919 + num_sets)
+        footprint = 64 * max(4 * ways * num_sets, 256)
+        addresses = rng.integers(0, footprint, 6000, dtype=np.int64)
+        # Revisit the first lines so even the widest geometry reuses.
+        addresses = np.concatenate((addresses, addresses[:500]))
+        expected, counters = oracle_misses(geometry, addresses)
+        batched = LruTagKernel(geometry)
+        produced = np.concatenate(
+            [batched.access_block(block) for block in np.array_split(addresses, 5)]
+        )
+        assert produced.tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == counters
+
+    def test_line_numbers_spanning_the_int64_range(self):
+        # Lines too far apart to pack beside an index in one int64 sort
+        # key take the stable-argsort path; outcomes must not change.
+        rng = np.random.default_rng(5)
+        near = rng.integers(0, 1 << 12, 600) * 64
+        far = (1 << 63) - 1 - rng.integers(0, 1 << 12, 600) * 64
+        addresses = np.where(rng.random(600) < 0.5, near, far)
+        expected, counters = oracle_misses(SMALL, addresses)
+        batched = LruTagKernel(SMALL)
+        produced = np.concatenate(
+            [batched.access_block(block) for block in np.array_split(addresses, 3)]
+        )
+        assert produced.tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == counters
+
+    def test_set_ids_beyond_uint16_stay_distinct(self):
+        # Sets 3 and 65539 would collide under a uint16 set id.
+        geometry = CacheGeometry(
+            size_bytes=64 * 70_000, associativity=1, line_size=64
+        )
+        low, high = set_lines(geometry, 3, [0])[0], set_lines(geometry, 65539, [0])[0]
+        addresses = np.array([low, high, low, high], dtype=np.int64)
+        batched = LruTagKernel(geometry)
+        assert batched.access_block(addresses).tolist() == [
+            True, True, False, False
+        ]
+
+
 class TestLadderKernel:
     def test_rejects_bad_level_count(self):
         with pytest.raises(ValueError, match="2 or 3"):
@@ -193,6 +303,53 @@ class TestExpandTouches:
         assert counts.tolist() == [0]
 
 
+class TestLadderStream:
+    def test_mid_block_warm_resets_counters_like_the_oracle_ladder(self):
+        # One fed batch with an EV_WARM in the middle: the kernel must
+        # keep its tag contents across the reset and count only the
+        # records after it, exactly as the per-access ladder does.
+        rng = random.Random(3)
+        records = []
+        for index in range(3000):
+            if index == 1700:
+                records.append((EV_WARM, 0, 0))
+            roll = rng.random()
+            address = rng.randrange(1 << 19)
+            if roll < 0.1:
+                records.append((EV_CFORM, address, rng.randrange(0, 5)))
+            elif roll < 0.15:
+                records.append((EV_ALLOC, address, 64))
+            else:
+                records.append((rng.choice((EV_LOAD, EV_STORE)), address, 8))
+        ladder = [
+            TagOnlyCache(geometry)
+            for geometry in (
+                WESTMERE.l1_geometry, WESTMERE.l2_geometry, WESTMERE.l3_geometry
+            )
+        ]
+        for kind, address, arg in records:
+            if kind == EV_WARM:
+                for level in ladder:
+                    level.reset_counters()
+            touches = (
+                [address] if kind in (EV_LOAD, EV_STORE)
+                else [address + i * CFORM_LINE_STRIDE for i in range(arg)]
+                if kind == EV_CFORM else []
+            )
+            for touch in touches:
+                any(level.access(touch) for level in ladder)
+        stream = LadderStream(WESTMERE)
+        kinds, addresses, args = (np.array(column) for column in zip(*records))
+        stream.feed(kinds.astype(np.uint8), addresses, args)
+        events = stream.events
+        l1, l2, l3 = ladder
+        assert (
+            events.l1_accesses, events.l1_misses,
+            events.l2_misses, events.l3_misses,
+        ) == (l1.accesses, l1.misses, l2.misses, l3.misses)
+        assert stream.touches == l1.accesses
+
+
 class TestSharedL3Kernel:
     @pytest.mark.parametrize("seed", [21, 22])
     def test_matches_shared_l3_attribution(self, seed):
@@ -252,8 +409,8 @@ def address_streams(draw):
     """Addresses mixing same-address and same-line repeats, stride walks
     and random jumps over a drawn footprint.
 
-    The stream itself comes from a drawn seed: long enough streams to
-    keep many sets active at once (the kernel's vectorized rounds) are
+    The stream itself comes from a drawn seed: streams long enough to
+    keep many sets active at once and to open long reuse windows are
     far beyond what element-wise drawing produces.
     """
     count = draw(st.integers(1, 1500))
@@ -279,7 +436,68 @@ def split_points(count: int):
     return st.lists(st.integers(0, count), max_size=6).map(sorted)
 
 
+@st.composite
+def conflict_streams(draw):
+    """``(geometry, addresses)``: cyclic working sets of ``ways - 1``,
+    ``ways`` and ``ways + 1`` lines on a few sets, interleaved.
+
+    Under LRU the ``ways + 1`` cycle misses on every access while the
+    smaller ones hit once warm, so every outcome sits at the hit rule's
+    boundary.
+    """
+    geometry = draw(geometries())
+    ways = geometry.associativity
+    sets = draw(
+        st.lists(
+            st.integers(0, geometry.num_sets - 1),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    phases = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sets),
+                st.sampled_from((max(1, ways - 1), ways, ways + 1)),
+                st.integers(0, 3),  # first tag: phases share lines
+                st.integers(1, 8),  # cycles
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    streams = [
+        set_lines(geometry, set_index, list(range(base, base + size)) * cycles)
+        for set_index, size, base, cycles in phases
+    ]
+    # Merge the phases in a drawn interleaving, each kept in order.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cursors = [0] * len(streams)
+    addresses = []
+    while True:
+        open_ = [i for i, stream in enumerate(streams) if cursors[i] < len(stream)]
+        if not open_:
+            break
+        pick = rng.choice(open_)
+        addresses.append(streams[pick][cursors[pick]])
+        cursors[pick] += 1
+    return geometry, np.array(addresses, dtype=np.int64)
+
+
 class TestKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(conflict_streams(), st.data())
+    def test_conflict_dominated_streams_match_tag_only_cache(
+        self, case, data
+    ):
+        geometry, addresses = case
+        cuts = data.draw(split_points(len(addresses)))
+        expected, counters = oracle_misses(geometry, addresses)
+        batched = LruTagKernel(geometry)
+        produced = np.concatenate(
+            [batched.access_block(block) for block in np.split(addresses, cuts)]
+        )
+        assert produced.tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == counters
+
     @settings(max_examples=60, deadline=None)
     @given(geometries(), address_streams(), st.data())
     def test_lru_kernel_matches_tag_only_cache(self, geometry, addresses, data):

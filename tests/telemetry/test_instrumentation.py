@@ -4,14 +4,49 @@ active telemetry sink produces the documented counters and spans."""
 import os
 
 from repro.corpus.store import CorpusStore
+from repro.memory.hierarchy import WESTMERE
 from repro.telemetry import runtime
 from repro.telemetry.export import metrics_document, read_span_log
+from repro.traces.compress import CompressedTraceWriter
+from repro.traces.format import TraceReader
 from repro.traces.recorder import live_run, record_spec
 from repro.traces.registry import CORPUS
 from repro.traces.replayer import replay_timing
 from repro.workloads import generator
+from repro.workloads.generator import EV_LOAD
 
 INSTRUCTIONS = 2000
+
+
+def slow_path_records():
+    """Loads whose reuse windows need the kernel's multi-chunk scan at
+    L1 and at L3 of the Table 3 ladder.
+
+    Lines ``t * 2048 + s`` share L3 set ``s`` (and hence one L2 and one
+    L1 set).  Line 0 of set 5, twelve lines cycled six times, line 0
+    again: the cycle thrashes the 8-way L1 and L2, so all of it reaches
+    the 16-way L3, where line 0's reuse window is 72 entries long but
+    holds only 12 distinct lines.  Then the same shape with a 3-line
+    cycle on set 9, short enough to hit in L1 itself.
+    """
+    def line(tag, set_index):
+        return (EV_LOAD, (tag * 2048 + set_index) * 64, 8)
+
+    records = [line(0, 5)]
+    records += [line(tag, 5) for _ in range(6) for tag in range(1, 13)]
+    records += [line(0, 5), line(0, 9)]
+    records += [line(tag, 9) for _ in range(20) for tag in range(1, 4)]
+    records.append(line(0, 9))
+    return records
+
+
+def assert_slow_path_counted(counters, level):
+    """The scan counters of ``level`` show multi-chunk windows."""
+    rounds = counters[f'kernel_rounds_total{{level="{level}"}}']
+    tail = counters[f'kernel_tail_accesses_total{{level="{level}"}}']
+    accesses = counters[f'kernel_accesses_total{{level="{level}"}}']
+    assert 0 < tail <= accesses
+    assert rounds > 1  # a first chunk, then more for the tail
 
 
 def exported(handle):
@@ -23,18 +58,29 @@ def exported(handle):
 
 def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
-    trace = str(tmp_path / "server-churn.trace")
-    record_spec(spec, trace)
+    recorded = str(tmp_path / "server-churn.trace")
+    record_spec(spec, recorded)
+    # The recorded run with the slow-path loads appended (the footer no
+    # longer matches, so the replay skips verification).
+    trace = str(tmp_path / "slow-path.trace")
+    with TraceReader(recorded) as reader:
+        batches = list(reader.column_batches())
+        with CompressedTraceWriter(trace, reader.header) as writer:
+            for batch in batches:
+                writer.extend(batch.kind, batch.address, batch.arg)
+            for record in slow_path_records():
+                writer.append(*record)
+            writer.set_footer(reader.read_footer())
 
     handle = runtime.configure(str(tmp_path / "tel"))
-    replay_timing(trace)
+    replay_timing(trace, verify=False)
     document = exported(handle)
 
     counters = document["counters"]
     assert counters["decode_frames_total"] > 0
     assert counters["decode_records_total"] > 0
     assert counters['kernel_accesses_total{level="l1"}'] > 0
-    assert counters['kernel_rounds_total{level="l1"}'] > 0
+    assert_slow_path_counted(counters, "l1")
     span_row = document["spans"]["replay/timing"]
     assert span_row["count"] == 1
 
@@ -56,23 +102,28 @@ def test_replay_span_carries_touches(tmp_path):
 
 def test_live_runs_emit_workload_spans_and_kernel_counters(tmp_path):
     handle = runtime.configure(str(tmp_path / "tel"))
-    results = {
-        driver: live_run(CORPUS[name].scaled(INSTRUCTIONS))
+    touches = {
+        driver: live_run(CORPUS[name].scaled(INSTRUCTIONS)).events.l1_accesses
         for driver, name in (
             ("generator", "server-churn"), ("attacks", "attack-replay")
         )
     }
+    # A live stream fed the slow-path loads, as a driver would.
+    with generator.live_stream(WESTMERE, None, "slow-path") as stream:
+        for record in slow_path_records():
+            stream.append(*record)
+    touches["slow-path"] = stream.events.l1_accesses
     document = exported(handle)
     log = read_span_log(os.path.join(handle.directory, runtime.SPAN_LOG_NAME))
     spans = [r for r in log.spans if r["name"] == "workload/live"]
-    assert {r["attrs"]["driver"]: r["attrs"]["touches"] for r in spans} == {
-        driver: result.events.l1_accesses
-        for driver, result in results.items()
-    }
-    assert document["counters"]['kernel_accesses_total{level="l1"}'] == sum(
-        result.events.l1_accesses for result in results.values()
+    assert {r["attrs"]["driver"]: r["attrs"]["touches"] for r in spans} == (
+        touches
     )
-    assert document["counters"]['kernel_rounds_total{level="l3"}'] > 0
+    counters = document["counters"]
+    assert counters['kernel_accesses_total{level="l1"}'] == sum(
+        touches.values()
+    )
+    assert_slow_path_counted(counters, "l3")
 
 
 def test_disabled_live_run_costs_one_lookup(monkeypatch):
