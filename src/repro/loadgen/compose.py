@@ -12,9 +12,10 @@ replayers and the multi-core engine unchanged:
    stream (:mod:`repro.loadgen.arrivals`);
 3. each tenant runs its workload profile's own driver (the generator,
    or the attack campaign for adversarial mixes) through a capture sink
-   that slices the event stream into per-burst operation chunks — one
-   chunk per arrival, the first chunk carrying the tenant's cold-start
-   working-set fault-in;
+   that keeps the column batches its stream hands over and splits them
+   at the burst offsets into per-burst operation chunks — one chunk per
+   arrival, the first chunk carrying the tenant's cold-start working-set
+   fault-in;
 4. tenant addresses are offset into disjoint namespaces
    (``tenant * TENANT_ADDRESS_STRIDE``) and the chunks are merged by
    arrival time into one open-loop stream, emitted record by record into
@@ -34,6 +35,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import replace
+
+import numpy as np
 
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.schema import LoadScenario
@@ -119,25 +122,37 @@ def tenant_spec(
 
 
 class _CaptureSink:
-    """Trace-engine sink slicing the event stream into per-burst chunks."""
+    """Trace-engine sink keeping the event stream and its burst offsets."""
 
-    __slots__ = ("chunks", "_current")
+    __slots__ = ("_batches", "_bursts", "_records")
 
     def __init__(self) -> None:
-        self.chunks: list[list[tuple[int, int, int]]] = []
-        self._current: list[tuple[int, int, int]] = []
+        self._batches: list[tuple] = []
+        self._bursts: list = []
+        self._records = 0
 
-    def append(self, kind: int, address: int, arg: int) -> None:
-        self._current.append((kind, address, arg))
+    def extend(self, kinds, addresses, args, bursts) -> None:
+        self._batches.append((kinds, addresses, args))
+        self._bursts.append(bursts + self._records)
+        self._records += len(kinds)
 
-    def burst(self) -> None:
-        self.chunks.append(self._current)
-        self._current = []
+    def chunks(self) -> list[tuple]:
+        """The stream split at its bursts: one ``(kinds, addresses,
+        args)`` column chunk per burst (records after the last burst
+        belong to none)."""
+        if not self._batches:
+            return []
+        bursts = np.concatenate(self._bursts)
+        columns = [
+            np.split(np.concatenate(column), bursts)
+            for column in zip(*self._batches)
+        ]
+        return list(zip(*columns))[: len(bursts)]
 
 
 def _tenant_chunks(
     spec: TraceScenarioSpec, config: HierarchyConfig, ops: int
-) -> list[list[tuple[int, int, int]]]:
+) -> list[tuple]:
     """Capture ``ops`` per-burst operation chunks of one tenant stream."""
     sink = _CaptureSink()
     recorder._driver_for(spec)(
@@ -150,12 +165,13 @@ def _tenant_chunks(
         sink=sink,
         quarantine_delay=spec.quarantine_delay,
     )
-    if len(sink.chunks) < ops:
+    chunks = sink.chunks()
+    if len(chunks) < ops:
         raise RuntimeError(
-            f"tenant stream {spec.name!r} produced {len(sink.chunks)} "
+            f"tenant stream {spec.name!r} produced {len(chunks)} "
             f"bursts for {ops} arrivals"
         )
-    return sink.chunks[:ops]
+    return chunks[:ops]
 
 
 def run_composed(
@@ -240,8 +256,11 @@ def _run_composed(
                 emit(EV_WARM, 0, 0)
                 app_instructions = 0.0
             app_instructions += burst_cost[tenant]
-            for kind, address, arg in chunk:
-                emit(kind, address + offset, arg)
+            kinds, addresses, args = chunk
+            for kind, address, arg in zip(
+                kinds.tolist(), (addresses + offset).tolist(), args.tolist()
+            ):
+                emit(kind, address, arg)
             stream.burst()
         if warm_pending:
             # Every arrival fell inside the warmup prefix: the boundary

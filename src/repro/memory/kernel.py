@@ -461,9 +461,11 @@ class LadderStream(RecordLoop):
     Timing replay feeds it decoded batches; a live driver appends one
     record at a time, buffered and fed every
     :data:`STREAM_BATCH_RECORDS` records — so live and replayed runs
-    share one loop.  ``sink``, when given, is a trace-engine tap
-    (``append(kind, address, arg)`` and ``burst()``) receiving every
-    appended record and every :meth:`burst`, in order.
+    share one loop.  ``sink``, when given, is a trace-engine tap: at
+    every :meth:`flush` it receives the buffered batch as
+    ``sink.extend(kinds, addresses, args, bursts)``, where ``bursts``
+    holds the batch offsets at which :meth:`burst` was called (a burst
+    after the batch's last record has offset ``len(kinds)``).
     """
 
     def __init__(self, config: HierarchyConfig, honor_warm: bool = True,
@@ -474,11 +476,10 @@ class LadderStream(RecordLoop):
         self._kinds: list[int] = []
         self._addresses: list[int] = []
         self._args: list[int] = []
+        self._bursts: list[int] = []
 
     def append(self, kind: int, address: int, arg: int) -> None:
-        """Buffer one record (after passing it on to ``sink``)."""
-        if self._sink is not None:
-            self._sink.append(kind, address, arg)
+        """Buffer one record."""
         kinds = self._kinds
         kinds.append(kind)
         self._addresses.append(address)
@@ -487,20 +488,26 @@ class LadderStream(RecordLoop):
             self.flush()
 
     def burst(self) -> None:
-        """Driver signal: one burst finished (passed on to ``sink``)."""
+        """Driver signal: one burst finished (noted for ``sink``)."""
         if self._sink is not None:
-            self._sink.burst()
+            self._bursts.append(len(self._kinds))
 
     def flush(self) -> None:
-        """Feed every buffered record through the ladder."""
-        if self._kinds:
-            batch = (
-                np.array(self._kinds, dtype=np.uint8),
-                np.array(self._addresses, dtype=np.int64),
-                np.array(self._args, dtype=np.int64),
-            )
-            self._kinds, self._addresses, self._args = [], [], []
-            self.feed(*batch)
+        """Hand the buffered batch to ``sink``; feed it through the
+        ladder."""
+        if not (self._kinds or self._bursts):
+            return
+        batch = (
+            np.array(self._kinds, dtype=np.uint8),
+            np.array(self._addresses, dtype=np.int64),
+            np.array(self._args, dtype=np.int64),
+        )
+        self._kinds, self._addresses, self._args = [], [], []
+        if self._sink is not None:
+            bursts = np.array(self._bursts, dtype=np.int64)
+            self._bursts = []
+            self._sink.extend(*batch, bursts)
+        self.feed(*batch)
 
     def _segment(self, start, kinds, addresses, args) -> None:
         self.ladder.touch_block(expand_touches(kinds, addresses, args)[0])

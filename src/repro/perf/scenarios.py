@@ -19,8 +19,9 @@ Scenario families:
     and a mixed load/store trace replayed through the batched API when
     the hierarchy provides one.
 ``trace_record`` / ``trace_multicore_replay``
-    The trace engine (``repro.traces``): recording a registry scenario
-    to an in-memory CALTRC02 trace (frame encode included), and the
+    The trace engine (``repro.traces``): recording one quick-profile
+    figure cell to an in-memory CALTRC02 trace (live generation, the
+    tag ladder and frame encode included), and the
     2-core shared-L3 interleaved replay of an antagonist pair.
 ``trace_compress`` / ``trace_decompress_replay``
     The CALTRC02 codec hot paths: re-encoding a recorded trace into
@@ -223,10 +224,17 @@ def _trace_replay(quick: bool) -> Workload:
 def _trace_record(quick: bool) -> Workload:
     from io import BytesIO
 
+    from repro.corpus.store import figure_spec
+    from repro.experiments.context import PROFILES
     from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
+    from repro.workloads.generator import Scenario
+    from repro.workloads.specs import profile
 
-    spec = corpus_spec("allocator-stress").scaled(2_000 if quick else 10_000)
+    # One size for both modes: one quick-profile figure cell (the gcc
+    # baseline of Figures 4, 10 and 11), the unit a cold corpus records,
+    # sized to stay over 100 ms per iteration.
+    instructions = PROFILES["quick"][0]
+    spec = figure_spec(profile("gcc"), Scenario.baseline(), instructions)
 
     def record_once() -> None:
         record_spec(spec, BytesIO())
@@ -333,12 +341,15 @@ def _kernel_ladder(quick: bool) -> Workload:
 
     # One size for both modes: the scenario exists to time the kernel,
     # and a smaller column would fall under 100 ms per iteration.
-    records: list[tuple[int, int, int]] = []
-    sink = SimpleNamespace(append=lambda *record: records.append(record),
-                           burst=lambda: None)
+    batches: list[tuple] = []
+    sink = SimpleNamespace(
+        extend=lambda *batch: batches.append(batch[:3])
+    )
     run_trace(profile("xalancbmk"), Scenario.baseline(), 300_000, sink=sink)
-    kinds, addresses, args = (np.array(column) for column in zip(*records))
-    touches = expand_touches(kinds.astype(np.uint8), addresses, args)[0]
+    kinds, addresses, args = (
+        np.concatenate(column) for column in zip(*batches)
+    )
+    touches = expand_touches(kinds, addresses, args)[0]
     blocks = np.array_split(touches, max(1, len(touches) >> 14))
 
     def run_ladder() -> None:

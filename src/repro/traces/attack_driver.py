@@ -8,7 +8,8 @@ workload with the same contract as
 :func:`repro.workloads.generator.run_trace`: a deterministic campaign of
 heap grooming plus attack probe bursts, emitted as ``EV_*`` events into
 the same columnar tag ladder (:class:`repro.memory.kernel.LadderStream`)
-and passed on to a trace-engine sink when one is given.  A recorded
+and passed on, a column batch at a time, to a trace-engine sink when
+one is given.  A recorded
 ``attack-replay`` trace therefore replays bit-identically through the
 standard replayers — the corpus can persist
 adversarial traffic next to the benign mixes, and cache-side studies

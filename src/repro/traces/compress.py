@@ -36,13 +36,15 @@ zero count is rejected as corruption.
 
 :class:`CompressedTraceWriter` is the one trace writer: the recorder,
 the sharder and :func:`transcode` (any container in, CALTRC02 out) all
-use it.  Reading is columnar only: :func:`iter_compressed_columns`
-decodes groups of frames into
-:class:`~repro.traces.format.RecordColumns` for
+use it.  Both directions are columnar.  The writer takes column
+batches, and :func:`encode_frames` tokenises every frame a batch closes
+in one vectorised pass.  :func:`iter_compressed_columns` decodes groups
+of frames into :class:`~repro.traces.format.RecordColumns` for
 :meth:`~repro.traces.format.TraceReader.column_batches`, and
 :func:`_iter_frames` is the one walker over the frame headers.  Encode
-and decode are both streaming: the writer buffers at most one frame of
-records, the reader inflates a bounded group of frames at a time.
+and decode are both streaming: the writer holds one batch plus at most
+one open frame of records, the reader inflates a bounded group of
+frames at a time.
 """
 
 from __future__ import annotations
@@ -87,22 +89,15 @@ MIN_RUN = 4
 #: Run flag on the token's kind byte.  EV_* kinds occupy 3 bits.
 _RUN_FLAG = 0x08
 
+#: Rows :meth:`CompressedTraceWriter.append` stages before writing them
+#: through the column path.
+STAGED_RECORDS = 1 << 14
+
 _FRAME_RECORDS_HEAD = struct.Struct("<BII")
 _FRAME_END_HEAD = struct.Struct("<BI")
 
 
 # -- varint primitives --------------------------------------------------------
-
-
-def _append_varint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _append_signed(out: bytearray, value: int) -> None:
-    _append_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
 
 
 def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
@@ -128,45 +123,138 @@ def _read_signed(data: bytes, offset: int) -> tuple[int, int]:
 # -- frame codec --------------------------------------------------------------
 
 
-def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
-    """Tokenise + deflate one frame's records (delta base starts at 0)."""
-    tokens = bytearray()
-    previous = 0
-    count = len(records)
-    index = 0
-    while index < count:
-        kind, address, arg = records[index]
-        # Probe for a constant-stride run of the same kind and arg.
-        run = index + 1
-        if run < count and records[run][0] == kind and records[run][2] == arg:
-            stride = records[run][1] - address
-            expected = records[run][1]
-            while run < count:
-                candidate = records[run]
-                if (
-                    candidate[0] != kind
-                    or candidate[2] != arg
-                    or candidate[1] != expected
-                ):
-                    break
-                expected += stride
-                run += 1
-        length = run - index
-        if length >= MIN_RUN:
-            tokens.append(kind | _RUN_FLAG)
-            _append_varint(tokens, length)
-            _append_signed(tokens, address - previous)
-            _append_signed(tokens, records[run - 1][1] - records[run - 2][1])
-            _append_varint(tokens, arg)
-            previous = records[run - 1][1]
-            index = run
-        else:
-            tokens.append(kind)
-            _append_signed(tokens, address - previous)
-            _append_varint(tokens, arg)
-            previous = address
-            index += 1
-    return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
+def _zigzag(values):
+    """Zigzag-map int64 values to uint64 (0, -1, 1, -2 → 0, 1, 2, 3)."""
+    return ((values << 1) ^ (values >> 63)).view(np.uint64)
+
+
+def _run_blocks(kinds, addresses, args, frame_first):
+    """The run tokens the greedy encoder emits: ``(start, last, stride)``
+    record-index arrays, one entry per run.
+
+    The encoder walks a frame greedily: at record ``i`` it measures the
+    longest constant-stride, same-kind, same-arg stretch starting there
+    and emits it as one run token when it spans :data:`MIN_RUN` (4) or
+    more records, else emits ``i`` alone and moves on.  Group the record
+    pairs into *blocks*: maximal stretches of linkable pairs (same kind,
+    same arg, same frame) with one stride.  A walk enters a block of
+    ``m`` pairs at its first record, or — when the previous block ends on
+    this block's first record and was emitted as a run — one record
+    later, and it emits the rest of the block as a run iff ``m``, less
+    that offset, is at least 3.  So whether a block is a run is a 1-bit
+    recurrence over blocks with three transitions: constant (a block not
+    touching its predecessor, or ``m`` ≥ 4 or ≤ 2), or NOT (``m == 3``
+    touching its predecessor: a run iff that one is not).  Each block's
+    bit is its last constant block's bit, flipped once per NOT block
+    since (a running maximum and a parity count).
+    """
+    strides = np.diff(addresses)
+    linkable = (kinds[1:] == kinds[:-1]) & (args[1:] == args[:-1])
+    linkable &= ~frame_first[1:]
+    joined = linkable[1:] & linkable[:-1] & (strides[1:] == strides[:-1])
+    first_pairs = linkable.copy()
+    first_pairs[1:] &= ~joined
+    last_pairs = linkable.copy()
+    last_pairs[:-1] &= ~joined
+    starts = np.flatnonzero(first_pairs)
+    lasts = np.flatnonzero(last_pairs) + 1  # each block's last record
+    pairs = lasts - starts
+    touching = np.zeros(len(starts), dtype=bool)
+    touching[1:] = starts[1:] == lasts[:-1]
+    least = MIN_RUN - 1  # pairs in a run entered at its block's start
+    flip = touching & (pairs == least)
+    constant = np.where(touching, pairs > least, pairs >= least)
+    anchors = np.maximum.accumulate(
+        np.where(flip, 0, np.arange(len(starts)))
+    )
+    flips = np.cumsum(flip)
+    run = constant[anchors] ^ ((flips - flips[anchors]) & 1).astype(bool)
+    entered_late = np.zeros(len(starts), dtype=bool)
+    entered_late[1:] = touching[1:] & run[:-1]
+    return (
+        (starts + entered_late)[run], lasts[run], strides[starts[run]]
+    )
+
+
+def _varints(values):
+    """LEB128-encode a uint64 array into one uint8 array; also return
+    each value's byte offset."""
+    widths = np.ones(len(values), dtype=np.int64)
+    longer = np.flatnonzero(values > 0x7F)
+    shift = np.uint64(7)
+    while longer.size:
+        widths[longer] += 1
+        longer = longer[values[longer] >> shift > 0x7F]
+        shift += np.uint64(7)
+    offsets = np.cumsum(widths) - widths
+    out = np.empty(int(widths.sum()), dtype=np.uint8)
+    out[offsets] = values & 0x7F
+    longer = np.flatnonzero(widths > 1)
+    column = 1
+    while longer.size:
+        out[offsets[longer] + column - 1] |= 0x80
+        out[offsets[longer] + column] = (
+            values[longer] >> np.uint64(7 * column)
+        ) & 0x7F
+        column += 1
+        longer = longer[widths[longer] > column]
+    return out, offsets
+
+
+def encode_frames(kinds, addresses, args, frame_starts):
+    """Tokenise consecutive frames of column records in one pass.
+
+    ``frame_starts`` holds each frame's first record index (ascending,
+    the first 0; every frame non-empty).  Returns the concatenated token
+    bytes (a uint8 array) and each frame's byte span as an offset array
+    one longer than ``frame_starts`` — the exact tokens of the greedy
+    per-frame walk described under :func:`_run_blocks`, which
+    ``tests/traces/oracle.py`` keeps as the reference encoder.  Addresses
+    are int64 and every in-frame address delta must fit int64, the
+    columnar decoder's domain; args must be non-negative.
+    """
+    count = len(kinds)
+    kinds = kinds.astype(np.uint64)
+    frame_first = np.zeros(count, dtype=bool)
+    frame_first[frame_starts] = True
+    previous = np.empty(count, dtype=np.int64)
+    previous[0] = 0
+    previous[1:] = addresses[:-1]
+    previous[frame_first] = 0
+    deltas = addresses - previous
+    if ((addresses ^ previous) & (addresses ^ deltas) < 0).any():
+        raise ValueError("address delta exceeds the int64 range")
+    run_starts, run_lasts, run_strides = _run_blocks(
+        kinds, addresses, args, frame_first
+    )
+    # Tokens start at every record outside a run's tail.
+    inside = np.zeros(count + 1, dtype=np.int8)
+    inside[run_starts + 1] = 1
+    inside[run_lasts + 1] -= 1
+    tokens = np.flatnonzero(np.cumsum(inside[:count]) == 0)
+    runs = np.searchsorted(tokens, run_starts)
+    widths = np.full(len(tokens), 3, dtype=np.int64)
+    widths[runs] = 5
+    units = np.cumsum(widths) - widths
+    values = np.empty(int(widths.sum()), dtype=np.uint64)
+    plain = np.ones(len(tokens), dtype=bool)
+    plain[runs] = False
+    plain_units = units[plain]
+    plain_tokens = tokens[plain]
+    values[plain_units] = kinds[plain_tokens]
+    values[plain_units + 1] = _zigzag(deltas[plain_tokens])
+    values[plain_units + 2] = args[plain_tokens]
+    run_units = units[runs]
+    values[run_units] = kinds[run_starts] | _RUN_FLAG
+    values[run_units + 1] = run_lasts + 1 - run_starts
+    values[run_units + 2] = _zigzag(deltas[run_starts])
+    values[run_units + 3] = _zigzag(run_strides)
+    values[run_units + 4] = args[run_starts]
+    data, offsets = _varints(values)
+    bounds = np.empty(len(frame_starts) + 1, dtype=np.int64)
+    bounds[:-1] = offsets[units[np.searchsorted(tokens, frame_starts)]]
+    bounds[-1] = len(data)
+    return data, bounds
 
 
 def decode_frame_columns(payload: bytes, record_count: int):
@@ -385,16 +473,33 @@ def _decode_frames_fast(streams, record_counts):
 # -- streaming writer ---------------------------------------------------------
 
 
+def _columns(rows):
+    """``(kind, address, arg)`` rows as uint8/int64/int64 column arrays."""
+    kinds, addresses, args = zip(*rows) if rows else ((), (), ())
+    return (
+        np.array(kinds, dtype=np.uint8),
+        np.array(addresses, dtype=np.int64),
+        np.array(args, dtype=np.int64),
+    )
+
+
 class CompressedTraceWriter:
     """Streaming CALTRC02 writer: header, epoch frames, footer last.
 
     ``target`` is a path or a binary file object (e.g. ``io.BytesIO``).
-    Use as a context manager, or call :meth:`close` after the footer::
+    Records go in as column arrays; use as a context manager, or call
+    :meth:`close` after the footer::
 
         with CompressedTraceWriter("x.trace", header) as writer:
-            writer.append(EV_LOAD, 0x1000, 8)
+            writer.extend(kinds, addresses, args)  # uint8/int64 columns
             ...
             writer.set_footer({"records": writer.record_count})
+
+    Frames are cut after every EPOCH record and after
+    :data:`MAX_FRAME_RECORDS` records, the open frame carrying over from
+    one :meth:`extend` to the next, so the frames do not depend on how
+    the stream is split into calls.  :meth:`append` stages one record
+    into the same column stream.
 
     The header is serialised *before* the target is opened, so a
     non-JSON-able header never leaves an empty file or a leaked
@@ -413,7 +518,10 @@ class CompressedTraceWriter:
             self._owns_file = False
         self.record_count = 0
         self._footer: dict | None = None
-        self._buffer: list[tuple[int, int, int]] = []
+        #: The open frame's records, and the rows :meth:`append` staged
+        #: after them.
+        self._open = _columns([])
+        self._staged: list[tuple[int, int, int]] = []
         try:
             self._file.write(MAGIC_V2)
             self._file.write(_HEADER_LEN.pack(len(header_bytes)))
@@ -424,32 +532,80 @@ class CompressedTraceWriter:
             raise
 
     def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record; flushes a frame at epoch boundaries."""
-        self._buffer.append((kind, address, arg))
+        """Append one record (staged, then written as a column row)."""
+        self._staged.append((kind, address, arg))
         self.record_count += 1
-        if kind == EV_EPOCH or len(self._buffer) >= MAX_FRAME_RECORDS:
-            self._flush_frame()
+        if len(self._staged) >= STAGED_RECORDS:
+            self._write(*self._take_staged())
 
     def extend(self, kinds, addresses, args) -> None:
-        """Append the rows of three parallel column arrays, in order
-        (the same frames as appending them one at a time)."""
-        append = self.append
-        for kind, address, arg in zip(
-            kinds.tolist(), addresses.tolist(), args.tolist()
+        """Append the rows of three parallel column arrays, in order.
+
+        Writes every frame the rows close; a negative ``arg`` raises
+        :class:`ValueError` (args are unsigned varints)."""
+        if self._staged:
+            self._write(*self._take_staged())
+        self._write(kinds, addresses, args)
+        self.record_count += len(kinds)
+
+    def _take_staged(self):
+        staged, self._staged = self._staged, []
+        return _columns(staged)
+
+    def _write(self, kinds, addresses, args, close_open=False) -> None:
+        """Add rows to the open frame; write every frame now closed (the
+        open one too when ``close_open``)."""
+        if len(args) and int(args.min()) < 0:
+            raise ValueError("record arg must be non-negative")
+        if len(self._open[0]):
+            kinds, addresses, args = (
+                np.concatenate((held, new))
+                for held, new in zip(self._open, (kinds, addresses, args))
+            )
+        count = len(kinds)
+        limit = MAX_FRAME_RECORDS
+        ends = []
+        start = 0
+        for epoch in np.flatnonzero(kinds == EV_EPOCH).tolist():
+            while epoch + 1 - start > limit:
+                start += limit
+                ends.append(start)
+            start = epoch + 1
+            ends.append(start)
+        while count - start >= limit:
+            start += limit
+            ends.append(start)
+        if close_open and start < count:
+            ends.append(count)
+        closed = ends[-1] if ends else 0
+        self._open = (kinds[closed:], addresses[closed:], args[closed:])
+        if not ends:
+            return
+        starts = [0] + ends[:-1]
+        data, bounds = encode_frames(
+            kinds[:closed], addresses[:closed], args[:closed],
+            np.array(starts, dtype=np.int64),
+        )
+        parts = []
+        for first, end, low, high in zip(
+            starts, ends, bounds[:-1].tolist(), bounds[1:].tolist()
         ):
-            append(kind, address, arg)
+            payload = zlib.compress(data[low:high], COMPRESSION_LEVEL)
+            parts.append(
+                _FRAME_RECORDS_HEAD.pack(
+                    FRAME_RECORDS, end - first, len(payload)
+                )
+            )
+            parts.append(payload)
+        self._file.write(b"".join(parts))
+        tel = telemetry_active()
+        if tel is not None:
+            tel.inc("encode_frames_total", len(ends))
+            tel.inc("encode_records_total", closed)
 
     def _flush_frame(self) -> None:
-        if not self._buffer:
-            return
-        payload = encode_frame(self._buffer)
-        self._file.write(
-            _FRAME_RECORDS_HEAD.pack(
-                FRAME_RECORDS, len(self._buffer), len(payload)
-            )
-        )
-        self._file.write(payload)
-        self._buffer.clear()
+        """Write the open frame (and any staged rows) as one frame."""
+        self._write(*self._take_staged(), close_open=True)
 
     def set_footer(self, footer: dict) -> None:
         """Provide the summary written after the end frame."""
@@ -471,7 +627,8 @@ class CompressedTraceWriter:
         The file is left deliberately invalid-on-read; callers should
         unlink it.
         """
-        self._buffer.clear()
+        self._staged = []
+        self._open = _columns([])
         if self._owns_file:
             self._file.close()
 

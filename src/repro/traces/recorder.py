@@ -1,11 +1,15 @@
 """Recorder: tap a live generator run and persist its event stream.
 
 The generator owns the workload logic; the recorder only listens.  A
-:class:`RecordingSink` is handed to :func:`run_trace` as its ``sink`` —
-it appends one record per cache touch / allocation event to a streaming
-:class:`~repro.traces.compress.CompressedTraceWriter` and drops an EPOCH
-marker every ``epoch_bursts`` bursts (the shard split points).  The
-sink never consumes the generator's RNG, so a recorded run is
+:class:`RecordingSink` is handed to :func:`run_trace` as its ``sink``.
+The driver's :class:`~repro.memory.kernel.LadderStream` hands it each
+buffered batch of cache touch / allocation events as column arrays,
+with the offsets of the bursts that ended inside it; the sink inserts an
+EPOCH row every ``epoch_bursts`` bursts (the shard split points) and
+passes the batch to a streaming
+:class:`~repro.traces.compress.CompressedTraceWriter`, which cuts and
+encodes its frames a batch at a time.  The sink never consumes the
+generator's RNG, so a recorded run is
 bit-identical to an unrecorded one — :func:`record_spec` returns the live
 :class:`~repro.workloads.generator.RunResult` alongside the trace it
 wrote, and the footer stores that result's statistics for replay-time
@@ -15,6 +19,8 @@ verification.
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.traces.compress import MAGIC_V2, CompressedTraceWriter
@@ -26,23 +32,31 @@ from repro.workloads.generator import RunResult, run_trace
 class RecordingSink:
     """The generator-side tap feeding a :class:`CompressedTraceWriter`."""
 
-    __slots__ = ("append", "_writer", "_epoch_bursts", "_bursts", "_epochs")
+    __slots__ = ("_writer", "_epoch_bursts", "_bursts", "_epochs")
 
     def __init__(self, writer: CompressedTraceWriter, epoch_bursts: int):
         self._writer = writer
-        #: Bound method exposed directly so the generator's hot wrappers
-        #: call the writer with no intermediate frame.
-        self.append = writer.append
         self._epoch_bursts = epoch_bursts
         self._bursts = 0
         self._epochs = 0
 
-    def burst(self) -> None:
-        """Generator signal: one burst (+ its churn) just finished."""
-        self._bursts += 1
-        if self._bursts % self._epoch_bursts == 0:
-            self.append(EV_EPOCH, self._epochs, 0)
-            self._epochs += 1
+    def extend(self, kinds, addresses, args, bursts) -> None:
+        """One stream batch: write it with an EPOCH row inserted at every
+        ``epoch_bursts``-th burst offset (``bursts`` counts on across
+        batches)."""
+        # The index in ``bursts`` of the first burst completing an epoch.
+        first = -(self._bursts + 1) % self._epoch_bursts
+        marks = bursts[first::self._epoch_bursts]
+        self._bursts += len(bursts)
+        if len(marks):
+            epochs = np.arange(
+                self._epochs, self._epochs + len(marks), dtype=np.int64
+            )
+            self._epochs += len(marks)
+            kinds = np.insert(kinds, marks, EV_EPOCH)
+            addresses = np.insert(addresses, marks, epochs)
+            args = np.insert(args, marks, 0)
+        self._writer.extend(kinds, addresses, args)
 
     @property
     def epochs(self) -> int:

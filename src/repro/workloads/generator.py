@@ -26,7 +26,8 @@ effects the paper decomposes in Figure 11.
 The generator is also the producer for the trace engine
 (:mod:`repro.traces`): pass a recording ``sink`` to :func:`run_trace`
 and the same event stream (every cache touch, CFORM, alloc/free and
-the warmup boundary) is passed on to it, from which a replayer
+the warmup boundary) is passed on to it in column batches, from which a
+replayer
 reproduces this run's statistics bit-identically without the RNG or the
 heap.  Nothing the cache ladder computes feeds back into the generator,
 so a live run *is* "emit the stream, then replay it".
@@ -258,8 +259,8 @@ def live_stream(config: HierarchyConfig, sink, driver: str):
     """The :class:`LadderStream` of one live driver run.
 
     Yields the stream the driver appends its ``EV_*`` events to (passed
-    on to ``sink`` when one is given) and flushes it when the run
-    returns.  With telemetry on, the run is a ``workload/live`` span
+    on to ``sink`` a batch at a time when one is given) and flushes it
+    when the run returns.  With telemetry on, the run is a ``workload/live`` span
     carrying ``driver`` and the measured ``touches``, and the ladder's
     ``kernel_*_total`` counters are reported; off, the cost is one
     :func:`~repro.telemetry.runtime.active` lookup.
@@ -299,10 +300,12 @@ def run_trace(
     the paper's methodology (Section 8.1).
 
     ``sink`` is the trace-engine tap (``repro.traces``): an object with
-    ``append(kind, address, arg)`` and ``burst()`` methods receiving the
-    same ``EV_*`` event stream the cache ladder consumes.  Attaching one
-    costs one extra call per event and changes nothing else: the sink
-    must not consume ``rng``, so the recorded run is bit-identical to an
+    an ``extend(kinds, addresses, args, bursts)`` method receiving, at
+    every stream flush, the batch of ``EV_*`` events the cache ladder
+    consumes and the batch offsets at which bursts ended (see
+    :class:`~repro.memory.kernel.LadderStream`).  Attaching one costs
+    one call per batch and changes nothing else: the sink must not
+    consume ``rng``, so the recorded run is bit-identical to an
     unrecorded one.
 
     ``quarantine_delay`` sizes the allocator's deallocation quarantine

@@ -82,16 +82,20 @@ class TestApportionment:
 
 
 class _ChunkSink:
+    """Splits the stream's column batches into per-burst record lists."""
+
     def __init__(self):
         self.chunks = []
         self._current = []
 
-    def append(self, kind, address, arg):
-        self._current.append((kind, address, arg))
-
-    def burst(self):
-        self.chunks.append(self._current)
-        self._current = []
+    def extend(self, kinds, addresses, args, bursts):
+        rows = list(zip(kinds.tolist(), addresses.tolist(), args.tolist()))
+        start = 0
+        for offset in bursts.tolist():
+            self.chunks.append(self._current + rows[start:offset])
+            self._current = []
+            start = offset
+        self._current += rows[start:]
 
 
 class TestMerge:
@@ -149,8 +153,12 @@ class TestSingleTenantEquivalence:
         spec = tenant_spec(load, 0, "server-churn", len(times))
         expected = [
             record
-            for chunk in _tenant_chunks(spec, WESTMERE, len(times))
-            for record in chunk
+            for kinds, addresses, args in _tenant_chunks(
+                spec, WESTMERE, len(times)
+            )
+            for record in zip(
+                kinds.tolist(), addresses.tolist(), args.tolist()
+            )
         ]
         composed = [
             record

@@ -7,7 +7,7 @@ from repro.corpus.store import CorpusStore
 from repro.memory.hierarchy import WESTMERE
 from repro.telemetry import runtime
 from repro.telemetry.export import metrics_document, read_span_log
-from repro.traces.compress import CompressedTraceWriter
+from repro.traces.compress import CompressedTraceWriter, frame_stats
 from repro.traces.format import TraceReader
 from repro.traces.recorder import live_run, record_spec
 from repro.traces.registry import CORPUS
@@ -83,6 +83,18 @@ def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     assert_slow_path_counted(counters, "l1")
     span_row = document["spans"]["replay/timing"]
     assert span_row["count"] == 1
+
+
+def test_recording_counts_encoded_frames_and_records(tmp_path):
+    trace = str(tmp_path / "server-churn.trace")
+    handle = runtime.configure(str(tmp_path / "tel"))
+    record_spec(CORPUS["server-churn"].scaled(INSTRUCTIONS), trace)
+    counters = exported(handle)["counters"]
+    frames = frame_stats(trace)
+    assert counters["encode_frames_total"] == len(frames) > 1
+    assert counters["encode_records_total"] == sum(
+        count for count, _ in frames
+    )
 
 
 def test_replay_span_carries_touches(tmp_path):

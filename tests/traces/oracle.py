@@ -21,7 +21,11 @@ The semantics pinned here are the replayer's documented ones:
 :func:`iter_records` is the per-record reference decoder the
 columnar reader (:meth:`TraceReader.column_batches`) is compared
 against: the CALTRC01 struct loop, and :func:`decode_frame` for each
-CALTRC02 frame.  :func:`encode_v1` is the CALTRC01 serialisation one
+CALTRC02 frame.  :func:`encode_frame` is the per-record reference
+encoder (the greedy token walk) the columnar frame encoder
+(:func:`repro.traces.compress.encode_frames`) is compared against, and
+:func:`frames` cuts a record list into CALTRC02 frames the way the
+writer does.  :func:`encode_v1` is the CALTRC01 serialisation one
 ``struct`` record at a time — the canonical form the corpus hashes, and
 the way the tests obtain v1 files now that nothing in ``src/`` writes
 them; :func:`canonical_digest_records` is the per-record twin of
@@ -42,6 +46,8 @@ from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.hierarchy import MemoryHierarchy, amat_cycles
 from repro.traces.compress import (
     _RUN_FLAG,
+    COMPRESSION_LEVEL,
+    MIN_RUN,
     _iter_frames,
     _read_signed,
     _read_varint,
@@ -79,6 +85,86 @@ CORE_ADDRESS_STRIDE = 1 << 44
 #: Records per read of the CALTRC01 struct loop (a multiple of the
 #: record size, so chunk boundaries never split a record).
 V1_CHUNK_RECORDS = 8192
+
+
+# -- per-record encode --------------------------------------------------------
+
+
+def _append_varint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _append_signed(out: bytearray, value: int) -> None:
+    _append_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
+
+
+def encode_tokens(records: list[tuple[int, int, int]]) -> bytes:
+    """Tokenise one frame's records (delta base starts at 0) by the
+    greedy walk: at each record, the longest same-kind, same-arg,
+    constant-stride stretch starting there becomes one run token when it
+    spans ``MIN_RUN`` records or more, else the record is one plain
+    token."""
+    tokens = bytearray()
+    previous = 0
+    count = len(records)
+    index = 0
+    while index < count:
+        kind, address, arg = records[index]
+        # Probe for a constant-stride run of the same kind and arg.
+        run = index + 1
+        if run < count and records[run][0] == kind and records[run][2] == arg:
+            stride = records[run][1] - address
+            expected = records[run][1]
+            while run < count:
+                candidate = records[run]
+                if (
+                    candidate[0] != kind
+                    or candidate[2] != arg
+                    or candidate[1] != expected
+                ):
+                    break
+                expected += stride
+                run += 1
+        length = run - index
+        if length >= MIN_RUN:
+            tokens.append(kind | _RUN_FLAG)
+            _append_varint(tokens, length)
+            _append_signed(tokens, address - previous)
+            _append_signed(tokens, records[run - 1][1] - records[run - 2][1])
+            _append_varint(tokens, arg)
+            previous = records[run - 1][1]
+            index = run
+        else:
+            tokens.append(kind)
+            _append_signed(tokens, address - previous)
+            _append_varint(tokens, arg)
+            previous = address
+            index += 1
+    return bytes(tokens)
+
+
+def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
+    """Tokenise + deflate one frame's records."""
+    return zlib.compress(encode_tokens(records), COMPRESSION_LEVEL)
+
+
+def frames(records, max_frame_records: int) -> list[list[tuple]]:
+    """Cut a record list into frames one record at a time: a frame closes
+    after an EPOCH record or on reaching ``max_frame_records`` records;
+    the trailing open frame closes at the end."""
+    cut: list[list[tuple[int, int, int]]] = []
+    frame: list[tuple[int, int, int]] = []
+    for record in records:
+        frame.append(record)
+        if record[0] == EV_EPOCH or len(frame) >= max_frame_records:
+            cut.append(frame)
+            frame = []
+    if frame:
+        cut.append(frame)
+    return cut
 
 
 # -- per-record decode --------------------------------------------------------

@@ -152,7 +152,7 @@ def test_columnar_frame_decode_matches_the_oracle_on_corrupt_frames(
         for step in range(length)
         if start + step * stride >= 0
     ]
-    tokens = bytearray(zlib.decompress(compress.encode_frame(records)))
+    tokens = bytearray(zlib.decompress(oracle.encode_frame(records)))
     for operation, position, value in edits:
         if operation == "insert":
             tokens.insert(position % (len(tokens) + 1), value)

@@ -89,17 +89,15 @@ def small_heaps(monkeypatch):
 
 
 class CaptureSink:
-    """Keeps every record; counts bursts."""
+    """Keeps every record and every burst's offset in the stream."""
 
     def __init__(self):
         self.records = []
-        self.bursts = 0
+        self.bursts = []
 
-    def append(self, kind, address, arg):
-        self.records.append((kind, address, arg))
-
-    def burst(self):
-        self.bursts += 1
+    def extend(self, kinds, addresses, args, bursts):
+        self.bursts += (bursts + len(self.records)).tolist()
+        self.records += zip(kinds.tolist(), addresses.tolist(), args.tolist())
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 7, kernel.STREAM_BATCH_RECORDS])
@@ -112,7 +110,7 @@ def test_live_run_equals_the_per_access_oracle(driver, batch, monkeypatch):
     assert EV_WARM in kinds and EV_EPOCH not in kinds
     if driver != "attacks":
         assert EV_CFORM in kinds
-    assert sink.bursts > 0
+    assert sink.bursts
 
     expected = oracle.ladder_stats(sink.records, SMALL)
     assert expected.events.l3_misses > 0
@@ -127,18 +125,26 @@ def test_the_sink_changes_nothing(driver):
 
 
 def test_stream_passes_every_record_and_burst_to_the_sink(monkeypatch):
-    monkeypatch.setattr(kernel, "STREAM_BATCH_RECORDS", 2)
-    sink = CaptureSink()
-    stream = kernel.LadderStream(WESTMERE, sink=sink)
+    """Bursts keep their stream offsets whatever the batch split: right
+    after a flush, twice at one offset, and after the last record."""
     records = [(0, 64, 8), (4, 128, 2), (5, 0, 0), (1, 256, 8), (2, 512, 32)]
-    for record in records[:3]:
-        stream.append(*record)
-    stream.burst()
-    for record in records[3:]:
-        stream.append(*record)
-    stream.flush()
-    assert sink.records == records and sink.bursts == 1
-    # Counters restart at the WARM record: one store touch, one ALLOC.
-    assert (stream.touches, stream.cform_lines, stream.alloc_events) == (1, 0, 1)
-    assert stream.events.l1_accesses == 1
+    for batch in (1, 2, 3, 8):
+        monkeypatch.setattr(kernel, "STREAM_BATCH_RECORDS", batch)
+        sink = CaptureSink()
+        stream = kernel.LadderStream(WESTMERE, sink=sink)
+        stream.burst()
+        for record in records[:3]:
+            stream.append(*record)
+        stream.burst()
+        stream.burst()
+        for record in records[3:]:
+            stream.append(*record)
+        stream.burst()
+        stream.flush()
+        assert sink.records == records and sink.bursts == [0, 3, 3, 5]
+        # Counters restart at the WARM record: one store touch, one ALLOC.
+        assert (
+            stream.touches, stream.cform_lines, stream.alloc_events
+        ) == (1, 0, 1)
+        assert stream.events.l1_accesses == 1
 
